@@ -16,6 +16,7 @@ from .classify import (
 )
 from .errors import (
     GroupTableError,
+    InternalCheckError,
     InvalidSpecError,
     NotGeneratingError,
     NotPurelyInfiniteSimpleError,
@@ -62,8 +63,8 @@ from .zmatrix import (
     MatrixFormatError,
     SnfResult,
     cokernel,
+    cokernel_with_class,
     det,
-    element_order_in_cokernel,
     mat_pow,
     rank,
     snf,

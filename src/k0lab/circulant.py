@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .errors import NotGeneratingError
+from .errors import InternalCheckError, NotGeneratingError
 from .zmatrix import IntMatrix
 
 
@@ -241,7 +241,7 @@ def cyclotomic(d: int) -> IntPolynomial:
         if e < d:
             quotient, rem = quotient.divmod_by(cyclotomic(e))
             if not rem.is_zero:
-                raise AssertionError("cyclotomic division left a remainder")
+                raise InternalCheckError("cyclotomic division left a remainder")
     with _cyclotomic_lock:
         _cyclotomic_cache.setdefault(d, quotient)
     return quotient

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InvalidSpecError, NotPurelyInfiniteSimpleError
+from .errors import InternalCheckError, InvalidSpecError, NotPurelyInfiniteSimpleError
 from .graphs import DirectedMultigraph, is_purely_infinite_simple, is_strongly_connected
 from .k0 import K0Report
 from .zmatrix import FinAbGroup, cokernel, det
@@ -104,12 +104,14 @@ def classify_report(report: K0Report, graph: DirectedMultigraph | None = None) -
             return mat_laurent(graph.vertex_count, witness="single cycle, W = 1")
         return unclassified(witness="not purely infinite simple")
     k0 = report.k0
-    assert k0 is not None
+    if k0 is None:
+        raise InternalCheckError("purely infinite simple report without K0")
     order = report.identity_order
     witness = f"K0 = {k0.display()}, identity class order {order}, det sign {report.det_sign}"
     if k0.is_finite and k0.is_cyclic and report.det_sign <= 0:
         size = k0.order()
-        assert isinstance(order, int) and size % order == 0
+        if not isinstance(order, int) or size % order != 0:
+            raise InternalCheckError(f"identity order {order} does not divide |K0| = {size}")
         return mat_leavitt(size // order, size + 1, witness)
     if k0.is_free and k0.free_rank >= 1 and order == 1 and report.det_sign == 0:
         return complete_two_loops(k0.free_rank + 1, witness)
@@ -150,9 +152,9 @@ def cyclic_marked_automorphism(modulus: int, a: int, b: int) -> int | None:
             continue
         if gcd(candidate, modulus) == 1:
             if candidate * a % modulus != b:
-                raise AssertionError("constructed multiplier failed verification")
+                raise InternalCheckError("constructed multiplier failed verification")
             return candidate
-    raise AssertionError("no unit lift found; this should be impossible")
+    raise InternalCheckError("no unit lift found; this should be impossible")
 
 
 VERDICT_ISOMORPHIC = "isomorphic"
@@ -181,7 +183,8 @@ def kp_compare(a: K0Report, b: K0Report) -> KPComparison:
     """
     if not a.pis or not b.pis:
         raise NotPurelyInfiniteSimpleError("the comparison needs purely infinite simple inputs")
-    assert a.k0 is not None and b.k0 is not None
+    if a.k0 is None or b.k0 is None:
+        raise InternalCheckError("purely infinite simple report without K0")
     if a.det_sign != b.det_sign:
         return KPComparison(
             VERDICT_UNDECIDED, f"determinant signs differ ({a.det_sign} vs {b.det_sign})"
@@ -194,7 +197,8 @@ def kp_compare(a: K0Report, b: K0Report) -> KPComparison:
     if ga.is_finite and ga.is_cyclic:
         size = ga.order()
         oa, ob = a.identity_order, b.identity_order
-        assert isinstance(oa, int) and isinstance(ob, int)
+        if not isinstance(oa, int) or not isinstance(ob, int):
+            raise InternalCheckError(f"finite K0 with identity orders {oa} and {ob}")
         u = cyclic_marked_automorphism(size, size // oa, size // ob)
         if u is None:
             return KPComparison(

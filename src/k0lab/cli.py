@@ -4,7 +4,8 @@ Subcommands: ``cayley`` (one weighted Cayley graph), ``dihedral`` (the
 dihedral family), ``scan`` (batch tables over a family), ``snf`` (raw
 Smith form of a matrix file), ``compare`` (isomorphism test between two
 specs).  Exit codes: 0 success, 2 non-generating set, 3 invalid spec or
-hypothesis failure, 64 usage error, 65 malformed input file.
+hypothesis failure, 64 usage error, 65 malformed input file, 70 failed
+internal check.
 """
 
 from __future__ import annotations
@@ -19,19 +20,21 @@ from multiprocessing import Pool
 from .classify import dihedral_theorem_row, kp_compare
 from .errors import (
     GroupTableError,
+    InternalCheckError,
     InvalidSpecError,
     NotGeneratingError,
     NotPurelyInfiniteSimpleError,
 )
 from .graphs import CayleySpec, build_cayley, read_group_table
 from .k0 import K0Report, analyze, closed_form_S01
-from .zmatrix import MatrixFormatError, cokernel, det, read_matrix, snf
+from .zmatrix import MatrixFormatError, cokernel_with_class, det, read_matrix
 
 EXIT_OK = 0
 EXIT_NOT_GENERATING = 2
 EXIT_INVALID = 3
 EXIT_USAGE = 64
 EXIT_BAD_FILE = 65
+EXIT_INTERNAL = 70
 
 DEFAULT_SCAN_CAP = 100_000
 
@@ -124,10 +127,7 @@ def _scan_worker(job) -> dict:
         return _report_row(analyze(CayleySpec.dihedral(n)), f"dihedral n={n}")
     if family == "complete":
         n, loops = params
-        gens = list(range(n))
-        weights = [loops if g == 0 else 1 for g in gens]
-        report = analyze(CayleySpec.cyclic(n, gens, weights))
-        return _report_row(report, f"complete n={n} loops={loops}")
+        return _report_row(analyze(CayleySpec.complete(n, loops)), f"complete n={n} loops={loops}")
     if family == "k_cycle":
         n, w = params
         return _report_row(analyze(CayleySpec.cyclic(n, [1], [w])), f"k_cycle n={n} W={w}")
@@ -227,19 +227,18 @@ def cmd_scan(args) -> int:
 def cmd_snf(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         m = read_matrix(fh.read())
-    result = snf(m)
-    coker = cokernel(m)
+    diag, coker, _ = cokernel_with_class(m)
     if args.json:
         payload = {
             "rows": m.rows,
             "cols": m.cols,
-            "diag": [str(d) for d in result.diag],
+            "diag": [str(d) for d in diag],
             "coker": coker.display(),
             "det": str(det(m)) if m.is_square else None,
         }
         print(_json_text(payload))
     else:
-        print("diag: " + " ".join(str(d) for d in result.diag))
+        print("diag: " + " ".join(str(d) for d in diag))
         print(f"coker: {coker.display()}")
         if m.is_square:
             print(f"det = {det(m)}")
@@ -284,10 +283,7 @@ def _parse_descriptor(text: str) -> CayleySpec:
     if family == "dihedral":
         return CayleySpec.dihedral(need_int("n"))
     if family == "complete":
-        n = need_int("n")
-        loops = need_int("l")
-        gens = list(range(n))
-        return CayleySpec.cyclic(n, gens, [loops if g == 0 else 1 for g in gens])
+        return CayleySpec.complete(need_int("n"), need_int("l"))
     if family == "kcycle":
         return CayleySpec.cyclic(need_int("n"), [1], [need_int("w")])
     raise UsageError(f"unknown spec family {family!r}")
@@ -390,6 +386,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"k0lab: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
+    except InternalCheckError as exc:
+        print(f"k0lab: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -19,3 +19,10 @@ class GroupTableError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class InternalCheckError(AssertionError):
+    """An internal consistency check failed: a fault in the library, not in the input.
+
+    Raised explicitly, so the check survives ``python -O``.
+    """

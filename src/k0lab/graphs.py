@@ -44,18 +44,11 @@ class DirectedMultigraph:
     def vertex_count(self) -> int:
         return len(self.adjacency)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(sum(row) for row in self.adjacency)
-
     def out_degree(self, v: int) -> int:
         return sum(self.adjacency[v])
 
     def in_degree(self, v: int) -> int:
         return sum(row[v] for row in self.adjacency)
-
-    def adjacency_matrix(self) -> IntMatrix:
-        return IntMatrix.from_rows(self.adjacency)
 
     def i_minus_at(self) -> IntMatrix:
         """I - A^t, the square matrix whose cokernel carries the K-theory."""
@@ -270,6 +263,11 @@ class CayleySpec:
         )
 
     @classmethod
+    def complete(cls, n: int, loops: int) -> "CayleySpec":
+        """K_n with ``loops`` loops per vertex, as a weighted Cayley spec over Z_n."""
+        return cls.cyclic(n, range(n), [loops if g == 0 else 1 for g in range(n)])
+
+    @classmethod
     def dihedral(cls, n: int) -> "CayleySpec":
         """The dihedral group with its usual generating set {r, s}, unweighted."""
         table, r, s = build_dihedral_group(n)
@@ -288,9 +286,6 @@ class CayleySpec:
     @property
     def is_cyclic(self) -> bool:
         return self.group.kind == "cyclic"
-
-    def weight_of(self, s: int) -> int:
-        return self.weights[self.gens.index(s)]
 
 
 def build_cayley(spec: CayleySpec) -> DirectedMultigraph:

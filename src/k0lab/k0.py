@@ -15,7 +15,12 @@ from dataclasses import dataclass, replace
 from math import gcd
 
 from . import circulant as circ
-from .errors import InvalidSpecError, NotGeneratingError, NotPurelyInfiniteSimpleError
+from .errors import (
+    InternalCheckError,
+    InvalidSpecError,
+    NotGeneratingError,
+    NotPurelyInfiniteSimpleError,
+)
 from .graphs import (
     CayleySpec,
     DirectedMultigraph,
@@ -23,15 +28,7 @@ from .graphs import (
     is_purely_infinite_simple,
     is_strongly_connected,
 )
-from .zmatrix import (
-    FinAbGroup,
-    IntMatrix,
-    _snf_with_left_transform,
-    cokernel,
-    det,
-    mat_pow,
-    snf_diagonal,
-)
+from .zmatrix import FinAbGroup, IntMatrix, cokernel, cokernel_with_class, det, mat_pow
 
 DEFAULT_CROSSCHECK_LIMIT = 24
 CROSSCHECK_ENV = "K0LAB_CROSSCHECK_LIMIT"
@@ -80,14 +77,18 @@ def _require_generating(spec: CayleySpec, graph: DirectedMultigraph | None = Non
         raise NotGeneratingError("S does not generate the group")
 
 
+def _companion_power(spec: CayleySpec) -> IntMatrix:
+    """T^n - I for the companion matrix T of a cyclic spec with 0 not in S."""
+    comp = companion_matrix(spec)
+    return mat_pow(comp.matrix, spec.n) - IntMatrix.identity(comp.size)
+
+
 def k0_via_companion(spec: CayleySpec) -> FinAbGroup:
     """Cokernel of T^n - I computed on the s_k x s_k companion matrix."""
     _require_generating(spec)
     if spec.total_weight < 2:
         raise InvalidSpecError("total weight must be at least 2")
-    comp = companion_matrix(spec)
-    power = mat_pow(comp.matrix, spec.n) - IntMatrix.identity(comp.size)
-    return cokernel(power)
+    return cokernel(_companion_power(spec))
 
 
 def k0_via_full_snf(g: DirectedMultigraph) -> FinAbGroup:
@@ -181,13 +182,18 @@ class K0Report:
 
 
 def crosscheck_limit() -> int:
+    """The cross-check size limit from the environment; a malformed value is rejected."""
     raw = os.environ.get(CROSSCHECK_ENV)
     if raw is None:
         return DEFAULT_CROSSCHECK_LIMIT
+    malformed = f"{CROSSCHECK_ENV} must be a non-negative integer, got {raw!r}"
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        return DEFAULT_CROSSCHECK_LIMIT
+        raise InvalidSpecError(malformed) from None
+    if value < 0:
+        raise InvalidSpecError(malformed)
+    return value
 
 
 def _detect_kind(spec: CayleySpec) -> str:
@@ -256,61 +262,24 @@ def analyze(
             raise InvalidSpecError("method 'both' needs a cyclic spec with 0 not in S and W >= 2")
         method = "both"
 
-    if not pis:
+    if pis:
+        # One left-transform Smith reduction serves the full cokernel and the
+        # order of the all-ones class.
+        diag, k0_full, order = cokernel_with_class(m, [1] * n)
+        k0_result = k0_full
+        identity_order: int | str | None = "infinite" if order is None else order
+        if method != "full_snf":
+            diag, k0_result, _ = cokernel_with_class(_companion_power(spec))
+            if method == "both" and k0_result != k0_full:
+                raise InternalCheckError(
+                    f"companion reduction disagrees with the full Smith form: "
+                    f"{k0_result.display()} vs {k0_full.display()} for {spec}"
+                )
+    else:
         # K-theory fields are only meaningful under pure infinite simplicity;
         # the matrix facts are still reported.
-        report = K0Report(
-            group_kind=kind,
-            n=n,
-            generators=spec.gens if spec else None,
-            weights=spec.weights if spec else None,
-            total_weight=total_weight,
-            pis=False,
-            det_value=det_value,
-            det_sign=det_sign,
-            snf_diag=snf_diagonal(m),
-            k0=None,
-            identity_order=None,
-            method="full_snf",
-        )
-        return _with_classification(report, graph)
-
-    # One left-transform Smith reduction serves the full cokernel and the
-    # order of the all-ones class.
-    diag_full, u = _snf_with_left_transform(m)
-    k0_full = FinAbGroup.from_invariants(
-        (s for s in diag_full if s > 1), free_rank=sum(1 for s in diag_full if s == 0)
-    )
-    w_vec = [sum(row) for row in u]  # u applied to the all-ones vector
-    acc = 1
-    infinite = False
-    for i, s in enumerate(diag_full):
-        if s == 0:
-            if w_vec[i] != 0:
-                infinite = True
-                break
-        elif w_vec[i] % s != 0:
-            step = s // gcd(s, w_vec[i] % s)
-            acc = acc * step // gcd(acc, step)
-    order = "infinite" if infinite else acc
-
-    if method == "full_snf":
-        k0_result = k0_full
-        diag_report = diag_full
-    else:
-        comp = companion_matrix(spec)
-        power = mat_pow(comp.matrix, spec.n) - IntMatrix.identity(comp.size)
-        diag_comp = snf_diagonal(power)
-        k0_comp = FinAbGroup.from_invariants(
-            (s for s in diag_comp if s > 1), free_rank=sum(1 for s in diag_comp if s == 0)
-        )
-        if method == "both" and k0_comp != k0_full:
-            raise AssertionError(
-                f"companion reduction disagrees with the full Smith form: "
-                f"{k0_comp.display()} vs {k0_full.display()} for {spec}"
-            )
-        k0_result = k0_comp
-        diag_report = diag_comp
+        diag = cokernel_with_class(m)[0]
+        k0_result = identity_order = None
 
     report = K0Report(
         group_kind=kind,
@@ -318,29 +287,31 @@ def analyze(
         generators=spec.gens if spec else None,
         weights=spec.weights if spec else None,
         total_weight=total_weight,
-        pis=True,
+        pis=pis,
         det_value=det_value,
         det_sign=det_sign,
-        snf_diag=diag_report,
+        snf_diag=diag,
         k0=k0_result,
-        identity_order=order,
+        identity_order=identity_order,
         method=method,
     )
-    _validate_report(report)
+    if pis:
+        _validate_report(report)
     return _with_classification(report, graph)
 
 
 def _validate_report(report: K0Report) -> None:
     """Internal consistency: |K0| = |det| when nonsingular, rank = nullity otherwise."""
-    assert report.k0 is not None
+    if report.k0 is None:
+        raise InternalCheckError("purely infinite simple report without K0")
     if report.det_value != 0:
         if report.k0.order() != abs(report.det_value):
-            raise AssertionError(
+            raise InternalCheckError(
                 f"|K0| = {report.k0.order()} but |det| = {abs(report.det_value)}"
             )
     else:
         if report.k0.free_rank == 0:
-            raise AssertionError("det vanishes but K0 came out finite")
+            raise InternalCheckError("det vanishes but K0 came out finite")
 
 
 def _with_classification(report: K0Report, graph: DirectedMultigraph) -> K0Report:

@@ -9,7 +9,7 @@ abelian groups in invariant-factor form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import mul as _int_mul
 from typing import Iterable, Sequence
 
@@ -104,12 +104,6 @@ class IntMatrix:
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(k * a for a in self.entries))
 
-    def apply(self, vec: Sequence[int]) -> list[int]:
-        """Matrix-vector product (vec as a column)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length must equal cols")
-        return [sum(self.at(i, j) * vec[j] for j in range(self.cols)) for i in range(self.rows)]
-
     def _check_same_shape(self, other: "IntMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -153,10 +147,6 @@ class FinAbGroup:
             if b % a != 0:
                 raise ValueError(f"{sorted(torsion)} is not a divisibility chain")
         return cls(tuple(torsion), rank)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.torsion and self.free_rank == 0
 
     @property
     def is_finite(self) -> bool:
@@ -340,30 +330,52 @@ def snf(m: IntMatrix) -> SnfResult:
 
 def snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """Invariant factors only, skipping transform bookkeeping."""
-    a = m.to_lists()
-    _snf_inplace(a, None, None)
-    return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
+    return cokernel_with_class(m)[0]
 
 
-def _snf_with_left_transform(m: IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
+def cokernel_with_class(
+    m: IntMatrix, vec: Sequence[int] | None = None
+) -> tuple[tuple[int, ...], FinAbGroup, int | None]:
+    """One Smith reduction of m: its diagonal, its cokernel, and the order of [vec].
+
+    The cokernel of the column lattice of m inside Z^rows takes torsion from
+    the invariant factors > 1; zero invariant factors and surplus rows
+    contribute free rank.
+
+    The order is the least d >= 1 with d*vec in the column lattice, or None
+    when no such d exists or vec is not given.  Only with vec is the left
+    transform u kept: with u*m*v in Smith form, d*vec lies in the lattice
+    exactly when each coordinate of u*(d*vec) is divisible by the matching
+    invariant factor, so d is the lcm of s_i / gcd(s_i, (u*vec)_i); a zero
+    invariant factor or surplus row against a nonzero coordinate makes the
+    order infinite.
+    """
+    if vec is not None and len(vec) != m.rows:
+        raise ValueError("vector length must equal rows")
     a = m.to_lists()
-    u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
+    u = None
+    if vec is not None:
+        u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
     _snf_inplace(a, u, None)
-    return tuple(a[i][i] for i in range(min(m.rows, m.cols))), u
+    diag = tuple(a[i][i] for i in range(min(m.rows, m.cols)))
+    group = FinAbGroup.from_invariants(diag, free_rank=m.rows - len(diag))
+    if u is None:
+        return diag, group, None
+    order = 1
+    for i, row in enumerate(u):
+        w = sum(map(_int_mul, row, vec))
+        s = diag[i] if i < len(diag) else 0
+        if s == 0:
+            if w != 0:
+                return diag, group, None
+        else:
+            order = lcm(order, s // gcd(s, w))
+    return diag, group, order
 
 
 def cokernel(m: IntMatrix) -> FinAbGroup:
-    """Cokernel of the column lattice of m inside Z^rows.
-
-    Torsion comes from the invariant factors > 1; zero invariant factors
-    and surplus rows contribute free rank.
-    """
-    diag = snf_diagonal(m)
-    zero_count = sum(1 for s in diag if s == 0)
-    surplus = m.rows - min(m.rows, m.cols)
-    return FinAbGroup.from_invariants(
-        (s for s in diag if s > 1), free_rank=zero_count + surplus
-    )
+    """Cokernel of the column lattice of m inside Z^rows, as a FinAbGroup."""
+    return cokernel_with_class(m)[1]
 
 
 def det(m: IntMatrix) -> int:
@@ -413,30 +425,6 @@ def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
         if k:
             base = base * base
     return result
-
-
-def element_order_in_cokernel(m: IntMatrix, vec: Sequence[int]) -> int | None:
-    """Least d >= 1 with d*vec in the column lattice of m, or None if no such d.
-
-    With u*m*v in Smith form, d*vec lies in the lattice exactly when each
-    coordinate of u*(d*vec) is divisible by the matching invariant factor,
-    so d is the lcm of s_i / gcd(s_i, (u*vec)_i); a zero invariant factor
-    against a nonzero coordinate makes the class of vec of infinite order.
-    """
-    if len(vec) != m.rows:
-        raise ValueError("vector length must equal rows")
-    diag, u = _snf_with_left_transform(m)
-    w = [sum(u[i][j] * vec[j] for j in range(m.rows)) for i in range(m.rows)]
-    d = 1
-    for i in range(m.rows):
-        s = diag[i] if i < len(diag) else 0
-        if s == 0:
-            if w[i] != 0:
-                return None
-        elif w[i] % s != 0:
-            step = s // gcd(s, w[i] % s)
-            d = d * step // gcd(d, step)
-    return d
 
 
 def read_matrix(text: str) -> IntMatrix:

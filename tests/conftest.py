@@ -2,15 +2,7 @@ import random
 
 import pytest
 
-from k0lab.graphs import CayleySpec
 from k0lab.zmatrix import IntMatrix
-
-
-def complete_graph_spec(n: int, loops: int) -> CayleySpec:
-    """K_n^(loops) as a weighted Cayley spec over Z_n (loops >= 1)."""
-    gens = list(range(n))
-    weights = [loops if g == 0 else 1 for g in gens]
-    return CayleySpec.cyclic(n, gens, weights)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 4) -> IntMatrix:

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from .zmatrix import IntMatrix
+from k0lab.zmatrix import IntMatrix
 
 
 def det_via_cofactor(m: IntMatrix) -> int:

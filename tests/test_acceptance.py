@@ -29,7 +29,6 @@ from k0lab.graphs import (
     singleton_partition,
 )
 from k0lab.k0 import analyze, closed_form_S01, companion_matrix
-from k0lab.oracle import det_via_cofactor, snf_via_determinant_divisors
 from k0lab.zmatrix import (
     FinAbGroup,
     IntMatrix,
@@ -40,7 +39,8 @@ from k0lab.zmatrix import (
     snf_diagonal,
 )
 
-from conftest import complete_graph_spec, random_matrix
+from conftest import random_matrix
+from oracle import det_via_cofactor, snf_via_determinant_divisors
 
 
 def _verdict(number: int, description: str, failures: list) -> None:
@@ -162,14 +162,14 @@ def test_criterion_02_dihedral_table():
 def test_criterion_03_complete_graphs():
     failures = []
     for n in range(2, 13):
-        report = analyze(complete_graph_spec(n, 1))
+        report = analyze(CayleySpec.complete(n, 1))
         if report.k0 != FinAbGroup.from_invariants([n - 1]):
             failures.append((n, 1, "K0", report.k0.display()))
         if report.det_value != -(n - 1):
             failures.append((n, 1, "det", report.det_value))
     for n in range(2, 11):
         graph = build_complete_graph(n, 2)
-        report = analyze(complete_graph_spec(n, 2))
+        report = analyze(CayleySpec.complete(n, 2))
         if report.k0 != FinAbGroup(free_rank=n - 1):
             failures.append((n, 2, "K0", report.k0.display()))
         if report.det_value != 0:

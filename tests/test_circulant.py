@@ -213,10 +213,8 @@ class TestDetSignClosedForm:
             assert det_sign_closed_form(spec) in (-1, 0)
 
     def test_complete_graph_negative(self):
-        from conftest import complete_graph_spec
-
         for n in range(2, 8):
-            assert det_sign_closed_form(complete_graph_spec(n, 1)) == -1
+            assert det_sign_closed_form(CayleySpec.complete(n, 1)) == -1
 
     def test_agrees_with_exact_sign_small(self):
         for n in range(1, 11):

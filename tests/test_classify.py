@@ -29,8 +29,6 @@ from k0lab.graphs import (
 from k0lab.k0 import analyze
 from k0lab.zmatrix import FinAbGroup
 
-from conftest import complete_graph_spec
-
 
 def loop_graph_spec(m: int) -> CayleySpec:
     """Single vertex with m loops."""
@@ -71,12 +69,12 @@ class TestClassify:
 
     def test_complete_graphs_one_loop(self):
         for n in range(2, 13):
-            cls = analyze(complete_graph_spec(n, 1)).classification
+            cls = analyze(CayleySpec.complete(n, 1)).classification
             assert cls.kind == "L(1,m)" and cls.m == n
 
     def test_complete_graphs_two_loops(self):
         for n in range(2, 9):
-            cls = analyze(complete_graph_spec(n, 2)).classification
+            cls = analyze(CayleySpec.complete(n, 2)).classification
             assert cls.kind == "L(K_n^(2))" and cls.n == n
 
     def test_k_cycle_weight_two(self):
@@ -156,9 +154,9 @@ class TestKPCompare:
     def test_reflexive_and_symmetric(self):
         reports = [
             analyze(CayleySpec.cyclic(6, [2, 3])),
-            analyze(complete_graph_spec(4, 1)),
+            analyze(CayleySpec.complete(4, 1)),
             analyze(CayleySpec.dihedral(8)),
-            analyze(complete_graph_spec(3, 2)),
+            analyze(CayleySpec.complete(3, 2)),
         ]
         for r in reports:
             assert kp_compare(r, r).isomorphic
@@ -174,7 +172,7 @@ class TestKPCompare:
         assert left.classification.display() == right.classification.display() == "L(1,2)"
 
     def test_different_cyclic_groups(self):
-        outcome = kp_compare(analyze(complete_graph_spec(3, 1)), analyze(complete_graph_spec(4, 1)))
+        outcome = kp_compare(analyze(CayleySpec.complete(3, 1)), analyze(CayleySpec.complete(4, 1)))
         assert outcome.verdict == "not_by_this_criterion"
 
     def test_marked_classes_can_obstruct(self):
@@ -194,8 +192,8 @@ class TestKPCompare:
         assert outcome.multiplier is not None
 
     def test_free_markers(self):
-        left = analyze(complete_graph_spec(4, 2))
-        right = analyze(complete_graph_spec(4, 2))
+        left = analyze(CayleySpec.complete(4, 2))
+        right = analyze(CayleySpec.complete(4, 2))
         assert kp_compare(left, right).isomorphic
 
     def test_noncyclic_torsion_undecided(self):
@@ -205,7 +203,7 @@ class TestKPCompare:
         assert kp_compare(left, right).verdict == "not_by_this_criterion"
 
     def test_z4_versus_klein_four(self):
-        cyclic_four = analyze(complete_graph_spec(5, 1))  # K0 = Z_4
+        cyclic_four = analyze(CayleySpec.complete(5, 1))  # K0 = Z_4
         klein = analyze(CayleySpec.dihedral(3))  # K0 = Z_2 + Z_2
         assert cyclic_four.k0 == FinAbGroup((4,))
         assert kp_compare(cyclic_four, klein).verdict == "not_by_this_criterion"

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+import k0lab.cli
 from k0lab.cli import main
+from k0lab.errors import InternalCheckError
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +244,17 @@ class TestCompareCommand:
         code, out, _ = run_cli(capsys, "compare", "cyclic:n=6:gens=2,3", "cyclic:n=1:gens=0:w=8")
         assert code == 0
         assert "not_by_this_criterion" in out
+
+
+def test_internal_check_failure_exit_code(capsys, monkeypatch):
+    def failing_analyze(*args, **kwargs):
+        raise InternalCheckError("forced failure")
+
+    monkeypatch.setattr(k0lab.cli, "analyze", failing_analyze)
+    code, out, err = run_cli(capsys, "cayley", "--n", "6", "--gens", "2,3")
+    assert code == 70
+    assert out == ""
+    assert err == "k0lab: internal check failed: forced failure\n"
 
 
 class TestFuzz:

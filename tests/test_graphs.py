@@ -144,13 +144,11 @@ class TestCompleteGraph:
         assert all(g.adjacency[i][j] == 1 for i in range(4) for j in range(4) if i != j)
 
     def test_matches_cayley_construction(self):
-        from conftest import complete_graph_spec
-
         for n in (2, 3, 5):
             for loops in (1, 2):
                 assert (
                     build_complete_graph(n, loops).adjacency
-                    == build_cayley(complete_graph_spec(n, loops)).adjacency
+                    == build_cayley(CayleySpec.complete(n, loops)).adjacency
                 )
 
 

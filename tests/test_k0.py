@@ -1,5 +1,7 @@
 import itertools
 import json
+import subprocess
+import sys
 from math import gcd
 
 import pytest
@@ -18,8 +20,6 @@ from k0lab.k0 import (
     verify_Tn_structure,
 )
 from k0lab.zmatrix import FinAbGroup, IntMatrix, cokernel
-
-from conftest import complete_graph_spec
 
 C6_23 = CayleySpec.cyclic(6, [2, 3])
 
@@ -137,6 +137,10 @@ class TestAnalyze:
         assert report.method == "companion_reduction"
         monkeypatch.setenv("K0LAB_CROSSCHECK_LIMIT", "24")
         assert analyze(C6_23).method == "both"
+        for bad in ("abc", "-1"):
+            monkeypatch.setenv("K0LAB_CROSSCHECK_LIMIT", bad)
+            with pytest.raises(InvalidSpecError, match=f"K0LAB_CROSSCHECK_LIMIT.*'{bad}'"):
+                analyze(C6_23)
 
     def test_non_generating(self):
         with pytest.raises(NotGeneratingError):
@@ -157,7 +161,31 @@ class TestAnalyze:
     def test_identity_order_examples(self):
         assert analyze(CayleySpec.cyclic(3, [1], [3])).identity_order == 2
         assert analyze(CayleySpec.cyclic(4, [1], [3])).identity_order == 2
-        assert analyze(complete_graph_spec(5, 1)).identity_order == 4
+        assert analyze(CayleySpec.complete(5, 1)).identity_order == 4
+
+
+def test_validate_report_survives_optimize():
+    """The consistency checks raise InternalCheckError even under python -O."""
+    script = (
+        "from dataclasses import replace\n"
+        "from k0lab.errors import InternalCheckError\n"
+        "from k0lab.k0 import K0Report, _validate_report\n"
+        "from k0lab.zmatrix import FinAbGroup\n"
+        "good = K0Report('cyclic', 6, (2, 3), (1, 1), 2, True, -7, -1, (1, 1, 7),\n"
+        "                FinAbGroup((7,)), 1, 'both')\n"
+        "_validate_report(good)\n"
+        "for report in (replace(good, det_value=-5), replace(good, k0=None)):\n"
+        "    try:\n"
+        "        _validate_report(report)\n"
+        "    except InternalCheckError as exc:\n"
+        "        print(__debug__, exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "False |K0| = 7 but |det| = 5\n"
+        "False purely infinite simple report without K0\n"
+    )
 
 
 class TestReportJson:

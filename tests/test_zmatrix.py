@@ -6,14 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from k0lab.graphs import CayleySpec, build_cayley, build_complete_graph, k_cycle
-from k0lab.oracle import lattice_membership
 from k0lab.zmatrix import (
     FinAbGroup,
     IntMatrix,
     MatrixFormatError,
     cokernel,
+    cokernel_with_class,
     det,
-    element_order_in_cokernel,
     mat_pow,
     rank,
     read_matrix,
@@ -23,6 +22,7 @@ from k0lab.zmatrix import (
 )
 
 from conftest import random_matrix, random_unimodular
+from oracle import lattice_membership
 
 T6_MINUS_I = IntMatrix.from_rows([[0, 1, 2], [2, 1, 3], [1, 2, 1]])
 
@@ -155,19 +155,19 @@ class TestCokernel:
 
 class TestElementOrder:
     def test_c6_23_all_ones(self):
-        assert element_order_in_cokernel(c6_23_matrix(), [1] * 6) == 1
+        assert cokernel_with_class(c6_23_matrix(), [1] * 6)[2] == 1
 
     def test_weighted_three_cycle(self):
         m = k_cycle(3, 3).i_minus_at()
-        assert element_order_in_cokernel(m, [1, 1, 1]) == 2
+        assert cokernel_with_class(m, [1, 1, 1])[2] == 2
 
     def test_double_identity(self):
         m = IntMatrix.from_rows([[2, 0], [0, 2]])
-        assert element_order_in_cokernel(m, [1, 0]) == 2
+        assert cokernel_with_class(m, [1, 0])[2] == 2
 
     def test_infinite_order(self):
         m = IntMatrix.zero(2, 2)
-        assert element_order_in_cokernel(m, [1, 0]) is None
+        assert cokernel_with_class(m, [1, 0])[2] is None
 
     def test_order_is_least_lattice_multiple(self, rng):
         corpus = [
@@ -183,11 +183,30 @@ class TestElementOrder:
                 continue
             corpus.append((m, [rng.randint(0, 2) for _ in range(n)]))
         for m, vec in corpus:
-            order = element_order_in_cokernel(m, vec)
+            order = cokernel_with_class(m, vec)[2]
             assert order is not None and order <= 10**6
             assert lattice_membership(m, vec, order)
             for d in range(1, min(order, 60)):
                 assert not lattice_membership(m, vec, d)
+
+    def test_class_does_not_change_diagonal_or_group(self, rng):
+        for _ in range(60):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            m = random_matrix(rng, rows, cols, bound=3)
+            vec = [rng.randint(-2, 2) for _ in range(rows)]
+            diag, group, order = cokernel_with_class(m, vec)
+            assert cokernel_with_class(m) == (diag, group, None)
+            assert diag == snf(m).diag
+            assert group == cokernel(m)
+            if order is None:
+                assert not any(lattice_membership(m, vec, d) for d in range(1, 13))
+            elif order <= 12:
+                hits = [d for d in range(1, order + 1) if lattice_membership(m, vec, d)]
+                assert hits == [order]
+
+    def test_rejects_wrong_length_vector(self):
+        with pytest.raises(ValueError):
+            cokernel_with_class(c6_23_matrix(), [1] * 5)
 
 
 class TestFinAbGroup:
