@@ -8,7 +8,6 @@ Kirchberg-Phillips classification.
 from .classify import (
     AlgebraClass,
     KPComparison,
-    classify,
     classify_report,
     dihedral_theorem_row,
     flow_equivalent,

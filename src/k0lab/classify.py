@@ -118,13 +118,6 @@ def classify_report(report: K0Report, graph: DirectedMultigraph | None = None) -
     return unclassified(witness)
 
 
-def classify(report: K0Report) -> AlgebraClass:
-    """Classify from the report alone (re-uses the attached result if present)."""
-    if report.classification is not None:
-        return report.classification
-    return classify_report(report, None)
-
-
 def cyclic_marked_automorphism(modulus: int, a: int, b: int) -> int | None:
     """A unit u of Z_modulus with u*a = b, or None when no automorphism works.
 

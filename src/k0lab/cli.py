@@ -156,6 +156,8 @@ def _scan_jobs(args) -> list[tuple]:
     if family == "dihedral":
         jobs = [("dihedral", (n,)) for n in ns]
     elif family == "complete":
+        if args.loops < 1:
+            raise UsageError("--loops must be positive")
         jobs = [("complete", (n, args.loops)) for n in ns]
     elif family == "k_cycle":
         if args.w_min > args.w_max or args.w_min < 1:

@@ -204,7 +204,6 @@ def _detect_kind(spec: CayleySpec) -> str:
 def analyze(
     target: CayleySpec | DirectedMultigraph,
     method: str = "auto",
-    limit: int | None = None,
 ) -> K0Report:
     """Full analysis of a Cayley spec or a raw graph.
 
@@ -216,8 +215,7 @@ def analyze(
     """
     if method not in ("auto", "full", "companion", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if limit is None:
-        limit = crosscheck_limit()
+    limit = crosscheck_limit()
 
     spec: CayleySpec | None
     if isinstance(target, CayleySpec):

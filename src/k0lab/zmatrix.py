@@ -75,20 +75,11 @@ class IntMatrix:
             tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_shape(other)
-        return IntMatrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_same_shape(other)
         return IntMatrix(
             self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
         )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -100,9 +91,6 @@ class IntMatrix:
             for bcol in cols:
                 out.append(sum(map(_int_mul, arow, bcol)))
         return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(k * a for a in self.entries))
 
     def _check_same_shape(self, other: "IntMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -211,7 +199,11 @@ def _min_abs_pivot(a: list[list[int]], t: int, rows: int, cols: int):
 
 
 def _snf_inplace(a: list[list[int]], u: list[list[int]] | None, v: list[list[int]] | None):
-    """Reduce a to Smith form in place, accumulating row ops in u and column ops in v.
+    """Reduce a to Smith form in place, applying every row op to u and column op to v.
+
+    u holds one row per row of a and may have any width: started at the
+    identity it ends as the left transform, started at the single column
+    ``[[x] for x in vec]`` it ends as that transform times vec.
 
     Pivots are chosen with minimal absolute value to limit coefficient
     growth.  On return the diagonal of a is non-negative, forms a
@@ -225,18 +217,18 @@ def _snf_inplace(a: list[list[int]], u: list[list[int]] | None, v: list[list[int
         pos = _min_abs_pivot(a, t, rows, cols)
         if pos is None:
             break
-        pi, pj = pos
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            if u is not None:
-                u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            if v is not None:
-                for row in v:
-                    row[t], row[pj] = row[pj], row[t]
         while True:
+            pi, pj = pos
+            if pi != t:
+                a[t], a[pi] = a[pi], a[t]
+                if u is not None:
+                    u[t], u[pi] = u[pi], u[t]
+            if pj != t:
+                for row in a:
+                    row[t], row[pj] = row[pj], row[t]
+                if v is not None:
+                    for row in v:
+                        row[t], row[pj] = row[pj], row[t]
             pivot = a[t][t]
             dirty = False
             at = a[t]
@@ -248,8 +240,7 @@ def _snf_inplace(a: list[list[int]], u: list[list[int]] | None, v: list[list[int
                     if q:
                         ai[t:] = [p - q * r for p, r in zip(ai[t:], at[t:])]
                         if u is not None:
-                            ui, ut = u[i], u[t]
-                            ui[:] = [p - q * r for p, r in zip(ui, ut)]
+                            u[i] = [p - q * r for p, r in zip(u[i], u[t])]
                     if ai[t] != 0:
                         dirty = True
             for j in range(t + 1, cols):
@@ -264,47 +255,34 @@ def _snf_inplace(a: list[list[int]], u: list[list[int]] | None, v: list[list[int
                                 row[j] -= q * row[t]
                     if at[j] != 0:
                         dirty = True
-            if not dirty:
-                # Row and column are clear; enforce that the pivot divides
-                # every remaining entry so the diagonal chains.
-                offender = None
-                for i in range(t + 1, rows):
-                    ai = a[i]
-                    for j in range(t + 1, cols):
-                        if ai[j] % pivot != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                ao, at = a[offender], a[t]
-                for j in range(t, cols):
-                    at[j] += ao[j]
-                if u is not None:
-                    ut, uo = u[t], u[offender]
-                    for j in range(rows):
-                        ut[j] += uo[j]
+            if dirty:
+                # Remainders smaller than |pivot| were created; re-pivot on them.
+                pos = _min_abs_pivot(a, t, rows, cols)
                 continue
-            # Remainders smaller than |pivot| were created; re-pivot on them.
-            pos = _min_abs_pivot(a, t, rows, cols)
-            pi, pj = pos
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-                if u is not None:
-                    u[t], u[pi] = u[pi], u[t]
-            if pj != t:
-                for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-                if v is not None:
-                    for row in v:
-                        row[t], row[pj] = row[pj], row[t]
+            # Row and column are clear; enforce that the pivot divides every
+            # remaining entry so the diagonal chains.
+            offender = None
+            for i in range(t + 1, rows):
+                ai = a[i]
+                for j in range(t + 1, cols):
+                    if ai[j] % pivot != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            ao = a[offender]
+            for j in range(t, cols):
+                at[j] += ao[j]
+            if u is not None:
+                u[t] = [p + r for p, r in zip(u[t], u[offender])]
+            pos = (t, t)
         if a[t][t] < 0:
             for j in range(t, cols):
                 a[t][j] = -a[t][j]
             if u is not None:
-                for j in range(rows):
-                    u[t][j] = -u[t][j]
+                u[t] = [-x for x in u[t]]
         t += 1
 
 
@@ -343,27 +321,25 @@ def cokernel_with_class(
     contribute free rank.
 
     The order is the least d >= 1 with d*vec in the column lattice, or None
-    when no such d exists or vec is not given.  Only with vec is the left
-    transform u kept: with u*m*v in Smith form, d*vec lies in the lattice
-    exactly when each coordinate of u*(d*vec) is divisible by the matching
-    invariant factor, so d is the lcm of s_i / gcd(s_i, (u*vec)_i); a zero
-    invariant factor or surplus row against a nonzero coordinate makes the
-    order infinite.
+    when no such d exists or vec is not given.  With vec, the reduction
+    applies its row operations to vec itself and ends holding u*vec, where
+    u*m*v is the Smith form; no transform matrix is built.  d*vec lies in the
+    lattice exactly when each coordinate of u*(d*vec) is divisible by the
+    matching invariant factor, so d is the lcm of s_i / gcd(s_i, (u*vec)_i);
+    a zero invariant factor or surplus row against a nonzero coordinate
+    makes the order infinite.
     """
     if vec is not None and len(vec) != m.rows:
         raise ValueError("vector length must equal rows")
     a = m.to_lists()
-    u = None
-    if vec is not None:
-        u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
+    u = None if vec is None else [[x] for x in vec]
     _snf_inplace(a, u, None)
     diag = tuple(a[i][i] for i in range(min(m.rows, m.cols)))
     group = FinAbGroup.from_invariants(diag, free_rank=m.rows - len(diag))
     if u is None:
         return diag, group, None
     order = 1
-    for i, row in enumerate(u):
-        w = sum(map(_int_mul, row, vec))
+    for i, (w,) in enumerate(u):
         s = diag[i] if i < len(diag) else 0
         if s == 0:
             if w != 0:

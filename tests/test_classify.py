@@ -1,3 +1,4 @@
+import types
 from math import gcd
 
 import pytest
@@ -246,3 +247,12 @@ class TestFlowEquivalent:
     def test_not_pis_rejected(self):
         with pytest.raises(NotPurelyInfiniteSimpleError):
             flow_equivalent(k_cycle(3, 1), k_cycle(3, 1))
+
+
+def test_submodule_import_binds_the_module():
+    # `import a.b as m` binds the attribute `b` of package `a`, so a package
+    # export named `classify` would shadow the submodule here.
+    import k0lab.classify as module
+
+    assert isinstance(module, types.ModuleType)
+    assert callable(module.classify_report)

@@ -186,6 +186,14 @@ class TestScanCommand:
         assert out == ""
         assert "cap" in err
 
+    def test_complete_family_rejects_nonpositive_loops(self, capsys):
+        for loops in ("0", "-1"):
+            code, out, err = run_cli(capsys, "scan", "--family", "complete", "--n-max", "3",
+                                     "--loops", loops)
+            assert code == 64
+            assert out == ""
+            assert "--loops must be positive" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--family", "complete", "--n-min", "3",
                                "--n-max", "4", "--format", "csv")

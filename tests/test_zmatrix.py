@@ -164,10 +164,16 @@ class TestElementOrder:
     def test_double_identity(self):
         m = IntMatrix.from_rows([[2, 0], [0, 2]])
         assert cokernel_with_class(m, [1, 0])[2] == 2
+        # 2 does not divide 3: the reduction folds row 2 into the pivot row.
+        m = IntMatrix.from_rows([[2, 0], [0, 3]])
+        assert cokernel_with_class(m, [1, 1])[2] == 6
 
     def test_infinite_order(self):
         m = IntMatrix.zero(2, 2)
         assert cokernel_with_class(m, [1, 0])[2] is None
+        # A surplus row against a nonzero coordinate of the reduced class.
+        m = IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]])
+        assert cokernel_with_class(m, [1, 1, 1])[2] is None
 
     def test_order_is_least_lattice_multiple(self, rng):
         corpus = [
