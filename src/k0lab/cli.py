@@ -16,6 +16,7 @@ import io
 import json
 import sys
 from multiprocessing import Pool
+from typing import Callable
 
 from .classify import dihedral_theorem_row, kp_compare
 from .errors import (
@@ -120,28 +121,46 @@ def _report_row(report: K0Report, label: str) -> dict:
     }
 
 
-def _scan_worker(job) -> dict:
-    family, params = job
+def _scan_member(family: str, params: tuple) -> tuple[str, Callable[[], CayleySpec]]:
+    """The instance label of one scan member and a function that makes its spec."""
     if family == "dihedral":
         (n,) = params
-        return _report_row(analyze(CayleySpec.dihedral(n)), f"dihedral n={n}")
+        return f"dihedral n={n}", lambda: CayleySpec.dihedral(n)
     if family == "complete":
         n, loops = params
-        return _report_row(analyze(CayleySpec.complete(n, loops)), f"complete n={n} loops={loops}")
+        return f"complete n={n} loops={loops}", lambda: CayleySpec.complete(n, loops)
     if family == "k_cycle":
         n, w = params
-        return _report_row(analyze(CayleySpec.cyclic(n, [1], [w])), f"k_cycle n={n} W={w}")
+        return f"k_cycle n={n} W={w}", lambda: CayleySpec.cyclic(n, [1], [w])
     if family == "s01":
         n, a, b = params
-        report = analyze(CayleySpec.cyclic(n, [0, 1], [a, b]))
-        row = _report_row(report, f"s01 n={n} a={a} b={b}")
-        row["closed_form"] = closed_form_S01(n, a, b).display()
-        return row
+        return f"s01 n={n} a={a} b={b}", lambda: CayleySpec.cyclic(n, [0, 1], [a, b])
     if family == "cyclic_s":
         n, gens, weights = params
         label = f"cyclic n={n} S={{{','.join(map(str, gens))}}} w={{{','.join(map(str, weights))}}}"
-        return _report_row(analyze(CayleySpec.cyclic(n, list(gens), list(weights))), label)
+        return label, lambda: CayleySpec.cyclic(n, list(gens), list(weights))
     raise ValueError(f"unknown family {family}")
+
+
+_SCAN_ERRORS = (
+    InternalCheckError,
+    InvalidSpecError,
+    NotGeneratingError,
+    NotPurelyInfiniteSimpleError,
+)
+
+
+def _scan_worker(job) -> dict:
+    family, params = job
+    label, build = _scan_member(family, params)
+    try:
+        row = _report_row(analyze(build()), label)
+        if family == "s01":
+            row["closed_form"] = closed_form_S01(*params).display()
+    except _SCAN_ERRORS as exc:
+        # Same type, so the exit code stays; the message names the member.
+        raise type(exc)(f"{label}: {exc}") from exc
+    return row
 
 
 def _scan_jobs(args) -> list[tuple]:

@@ -4,7 +4,10 @@ From a weighted Cayley graph (or any finite graph) this computes
 det(I - A^t), the Grothendieck group as a finitely generated abelian
 group, and the order of the class of the all-ones vector, either by a
 full Smith reduction of the n x n matrix or by the companion-matrix
-shortcut that replaces it with an s_k x s_k computation.
+shortcut.  For a cyclic spec with 0 not in S the shortcut yields all
+three from the s_k x s_k matrix P = T^n - I alone: K0 = Coker P, [1]
+maps to g = sum_{i<n} T^i e_{s_k}, and det(I - A^t) = (-1)^{s_k} det P.
+No n x n graph or matrix is built on that path.
 """
 
 from __future__ import annotations
@@ -81,6 +84,26 @@ def _companion_power(spec: CayleySpec) -> IntMatrix:
     """T^n - I for the companion matrix T of a cyclic spec with 0 not in S."""
     comp = companion_matrix(spec)
     return mat_pow(comp.matrix, spec.n) - IntMatrix.identity(comp.size)
+
+
+def _identity_class(spec: CayleySpec) -> list[int]:
+    """g = sum_{i<n} T^i e_{s_k}: the class of [1] in Coker(T^n - I).
+
+    T v is v shifted down one place plus v[-1] times the weight column
+    (w(s) in row s_k - s), so g costs O(n |S|) additions besides the shifts.
+    """
+    sk = max(spec.gens)
+    weight_rows = [(sk - s, w) for s, w in zip(spec.gens, spec.weights)]
+    v = [0] * sk
+    v[-1] = 1
+    g = v
+    for _ in range(spec.n - 1):
+        top = v[-1]
+        v = [0] + v[:-1]
+        for row, w in weight_rows:
+            v[row] += w * top
+        g = [a + b for a, b in zip(g, v)]
+    return g
 
 
 def k0_via_companion(spec: CayleySpec) -> FinAbGroup:
@@ -211,34 +234,33 @@ def analyze(
     "companion" (s_k x s_k shortcut, cyclic specs with 0 not in S only),
     "both" (run both and insist they agree), or "auto" (both up to the
     cross-check size limit, companion beyond it, full when the shortcut
-    does not apply).
+    does not apply).  The companion method takes K0, the order of [1] and
+    det(I - A^t) from P = T^n - I and builds no n x n graph or matrix;
+    "both" also derives the order of [1] from P and checks it against the
+    full reduction, but reports the resultant det.
     """
     if method not in ("auto", "full", "companion", "both"):
         raise ValueError(f"unknown method {method!r}")
     limit = crosscheck_limit()
 
     spec: CayleySpec | None
+    graph: DirectedMultigraph | None
     if isinstance(target, CayleySpec):
         spec = target
-        graph = build_cayley(spec)
+        # Cyclic generation is a gcd; only other groups need the graph for it.
+        graph = None if spec.is_cyclic else build_cayley(spec)
         _require_generating(spec, graph)
         kind = _detect_kind(spec)
         total_weight = spec.total_weight
         pis = total_weight >= 2
+        n = spec.n
     else:
         spec = None
         graph = target
         kind = "graph"
         total_weight = None
         pis = is_purely_infinite_simple(graph)
-
-    n = graph.vertex_count
-    m = graph.i_minus_at()
-    if spec is not None and spec.is_cyclic:
-        det_value = circ.cayley_det(spec)
-    else:
-        det_value = det(m)
-    det_sign = (det_value > 0) - (det_value < 0)
+        n = graph.vertex_count
 
     companion_ok = spec is not None and spec.is_cyclic and 0 not in spec.gens and pis
     if method == "auto":
@@ -260,24 +282,41 @@ def analyze(
             raise InvalidSpecError("method 'both' needs a cyclic spec with 0 not in S and W >= 2")
         method = "both"
 
-    if pis:
-        # One left-transform Smith reduction serves the full cokernel and the
-        # order of the all-ones class.
-        diag, k0_full, order = cokernel_with_class(m, [1] * n)
-        k0_result = k0_full
-        identity_order: int | str | None = "infinite" if order is None else order
-        if method != "full_snf":
-            diag, k0_result, _ = cokernel_with_class(_companion_power(spec))
-            if method == "both" and k0_result != k0_full:
-                raise InternalCheckError(
-                    f"companion reduction disagrees with the full Smith form: "
-                    f"{k0_result.display()} vs {k0_full.display()} for {spec}"
-                )
+    if method == "companion_reduction":
+        p = _companion_power(spec)
+        diag, k0_result, order = cokernel_with_class(p, _identity_class(spec))
+        det_value = (-1) ** max(spec.gens) * det(p)
     else:
-        # K-theory fields are only meaningful under pure infinite simplicity;
-        # the matrix facts are still reported.
-        diag = cokernel_with_class(m)[0]
-        k0_result = identity_order = None
+        if graph is None:
+            graph = build_cayley(spec)
+        m = graph.i_minus_at()
+        det_value = circ.cayley_det(spec) if spec is not None and spec.is_cyclic else det(m)
+        if pis:
+            # One Smith reduction serves the full cokernel and the order of
+            # the all-ones class.
+            diag, k0_result, order = cokernel_with_class(m, [1] * n)
+            if method == "both":
+                diag, k0_companion, order_companion = cokernel_with_class(
+                    _companion_power(spec), _identity_class(spec)
+                )
+                named = f"n={n} S={spec.gens} w={spec.weights}"
+                if k0_companion != k0_result:
+                    raise InternalCheckError(
+                        f"companion reduction disagrees with the full Smith form: "
+                        f"{k0_companion.display()} vs {k0_result.display()} for {named}"
+                    )
+                if order_companion != order:
+                    raise InternalCheckError(
+                        f"identity order from the companion side disagrees with the full "
+                        f"Smith form: {order_companion} vs {order} for {named}"
+                    )
+        else:
+            # K-theory fields are only meaningful under pure infinite
+            # simplicity; the matrix facts are still reported.
+            diag = cokernel_with_class(m)[0]
+            k0_result = order = None
+    identity_order = ("infinite" if order is None else order) if pis else None
+    det_sign = (det_value > 0) - (det_value < 0)
 
     report = K0Report(
         group_kind=kind,
@@ -312,7 +351,7 @@ def _validate_report(report: K0Report) -> None:
             raise InternalCheckError("det vanishes but K0 came out finite")
 
 
-def _with_classification(report: K0Report, graph: DirectedMultigraph) -> K0Report:
+def _with_classification(report: K0Report, graph: DirectedMultigraph | None) -> K0Report:
     from .classify import classify_report
 
     return replace(report, classification=classify_report(report, graph))

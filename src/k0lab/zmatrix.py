@@ -198,19 +198,19 @@ def _min_abs_pivot(a: list[list[int]], t: int, rows: int, cols: int):
     return best
 
 
-def _snf_inplace(a: list[list[int]], u: list[list[int]] | None, v: list[list[int]] | None):
-    """Reduce a to Smith form in place, applying every row op to u and column op to v.
+def _snf_inplace(a: list[list[int]], cols: int, v: list[list[int]] | None):
+    """Reduce the first ``cols`` columns of a to Smith form in place.
 
-    u holds one row per row of a and may have any width: started at the
-    identity it ends as the left transform, started at the single column
-    ``[[x] for x in vec]`` it ends as that transform times vec.
+    Entries of a row past ``cols`` are passengers: every row operation moves
+    them along and nothing else reads them.  Started as the identity they
+    end as the left transform; started as one entry per row, vec, they end
+    as that transform times vec.  Every column operation is applied to v.
 
     Pivots are chosen with minimal absolute value to limit coefficient
     growth.  On return the diagonal of a is non-negative, forms a
     divisibility chain, and all zeros trail.
     """
     rows = len(a)
-    cols = len(a[0])
     t = 0
     limit = min(rows, cols)
     while t < limit:
@@ -221,8 +221,6 @@ def _snf_inplace(a: list[list[int]], u: list[list[int]] | None, v: list[list[int
             pi, pj = pos
             if pi != t:
                 a[t], a[pi] = a[pi], a[t]
-                if u is not None:
-                    u[t], u[pi] = u[pi], u[t]
             if pj != t:
                 for row in a:
                     row[t], row[pj] = row[pj], row[t]
@@ -239,8 +237,6 @@ def _snf_inplace(a: list[list[int]], u: list[list[int]] | None, v: list[list[int
                     q = x // pivot
                     if q:
                         ai[t:] = [p - q * r for p, r in zip(ai[t:], at[t:])]
-                        if u is not None:
-                            u[i] = [p - q * r for p, r in zip(u[i], u[t])]
                     if ai[t] != 0:
                         dirty = True
             for j in range(t + 1, cols):
@@ -272,17 +268,10 @@ def _snf_inplace(a: list[list[int]], u: list[list[int]] | None, v: list[list[int
                     break
             if offender is None:
                 break
-            ao = a[offender]
-            for j in range(t, cols):
-                at[j] += ao[j]
-            if u is not None:
-                u[t] = [p + r for p, r in zip(u[t], u[offender])]
+            at[t:] = [p + r for p, r in zip(at[t:], a[offender][t:])]
             pos = (t, t)
         if a[t][t] < 0:
-            for j in range(t, cols):
-                a[t][j] = -a[t][j]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
+            a[t][t:] = [-x for x in a[t][t:]]
         t += 1
 
 
@@ -292,15 +281,15 @@ def snf(m: IntMatrix) -> SnfResult:
     The diagonal is non-negative, each entry divides the next nonzero one,
     and zeros trail.  u and v are unimodular (det +-1).
     """
-    a = m.to_lists()
-    u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
+    # u rides along as passenger columns that start at the identity.
+    a = [row + [1 if i == j else 0 for j in range(m.rows)] for i, row in enumerate(m.to_lists())]
     v = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
-    _snf_inplace(a, u, v)
+    _snf_inplace(a, m.cols, v)
     n = min(m.rows, m.cols)
     diag = tuple(a[i][i] for i in range(n))
     return SnfResult(
-        d=IntMatrix.from_rows(a),
-        u=IntMatrix.from_rows(u),
+        d=IntMatrix.from_rows([row[: m.cols] for row in a]),
+        u=IntMatrix.from_rows([row[m.cols :] for row in a]),
         v=IntMatrix.from_rows(v),
         diag=diag,
     )
@@ -332,14 +321,17 @@ def cokernel_with_class(
     if vec is not None and len(vec) != m.rows:
         raise ValueError("vector length must equal rows")
     a = m.to_lists()
-    u = None if vec is None else [[x] for x in vec]
-    _snf_inplace(a, u, None)
+    if vec is not None:
+        for row, x in zip(a, vec):
+            row.append(x)
+    _snf_inplace(a, m.cols, None)
     diag = tuple(a[i][i] for i in range(min(m.rows, m.cols)))
     group = FinAbGroup.from_invariants(diag, free_rank=m.rows - len(diag))
-    if u is None:
+    if vec is None:
         return diag, group, None
     order = 1
-    for i, (w,) in enumerate(u):
+    for i, row in enumerate(a):
+        w = row[-1]
         s = diag[i] if i < len(diag) else 0
         if s == 0:
             if w != 0:

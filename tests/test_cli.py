@@ -216,6 +216,21 @@ class TestScanCommand:
                              "--n-max", "3")
         assert code == 64
 
+    def test_failing_member_names_its_instance(self, capsys, monkeypatch):
+        real_analyze = k0lab.cli.analyze
+
+        def analyze_failing_at_seven(spec, *args, **kwargs):
+            if spec.n == 7:
+                raise InternalCheckError("forced failure")
+            return real_analyze(spec, *args, **kwargs)
+
+        monkeypatch.setattr(k0lab.cli, "analyze", analyze_failing_at_seven)
+        code, out, err = run_cli(capsys, "scan", "--family", "k_cycle", "--n-min", "5",
+                                 "--n-max", "8", "--w-min", "2", "--w-max", "3")
+        assert code == 70
+        assert out == ""
+        assert err == "k0lab: internal check failed: k_cycle n=7 W=2: forced failure\n"
+
 
 class TestCompareCommand:
     def test_dihedral_vs_loop_step(self, capsys):

@@ -2,10 +2,12 @@
 
 One SHA-256 over the text and JSON that a fixed corpus of inputs produces:
 ``analyze`` in every method on small cyclic and dihedral specs and on seeded
-random multigraphs, seeded ``k0lab snf`` runs, and a few CLI runs.  A
-refactor that keeps every output byte keeps the digest; any change to a
+random multigraphs, seeded ``k0lab snf`` runs, and a few CLI runs.  A second
+digest covers ``auto`` on seeded cyclic specs with n 25-60, where it takes the
+companion path alone (or the full path when 0 is a generator).  A
+refactor that keeps every output byte keeps the digests; any change to a
 report, a label, an error message or an exit code moves it.  When an output
-is meant to change, recompute the digest on the old and new code and say
+is meant to change, recompute the digests on the old and new code and say
 which outputs differ.
 """
 
@@ -21,6 +23,9 @@ from k0lab.zmatrix import write_matrix
 from conftest import random_matrix
 
 GOLDEN_SHA256 = "dc7a9f1e5137dfd46ebb57d22971a3bfadb6fb4c4bc505e3215c92f5300c54d9"
+
+# ``auto`` on cyclic specs past the default cross-check limit (n 25-60).
+GOLDEN_LARGE_SHA256 = "7e450fb87ec1bd3153b180f735a5da5b9d654082211565970dce1abb204e0b2c"
 
 METHODS = ("auto", "full", "companion", "both")
 
@@ -109,3 +114,39 @@ def test_outputs_match_golden_digest(capsys, tmp_path, monkeypatch):
         record(_cli_output(capsys, argv))
 
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+# Singular by the two-generator trichotomy (one per case, equal weights
+# twice), so the large corpus always carries det = 0 and a free summand.
+SINGULAR_LARGE = [
+    (30, (1, 5), (1, 1)),
+    (48, (1, 5), (1, 1)),
+    (30, (2, 3), (2, 1)),
+    (40, (3, 4), (1, 2)),
+]
+
+
+def _large_cyclic_specs():
+    yield from SINGULAR_LARGE
+    rng = random.Random(0xC7C1)
+    for _ in range(100):
+        n = rng.randint(25, 60)
+        size = rng.randint(1, 3)
+        low = 0 if rng.random() < 0.3 else 1
+        gens = tuple(sorted(rng.sample(range(low, 9), size)))
+        yield n, gens, tuple(rng.randint(1, 3) for _ in gens)
+
+
+def test_large_cyclic_outputs_match_golden_digest(monkeypatch):
+    monkeypatch.delenv("K0LAB_CROSSCHECK_LIMIT", raising=False)
+    digest = hashlib.sha256()
+    for n, gens, weights in _large_cyclic_specs():
+        try:
+            report = analyze(CayleySpec.cyclic(n, gens, weights))
+        except ValueError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        else:
+            out = report.to_json() + report.render_text()
+        digest.update(out.encode("utf-8"))
+        digest.update(b"\x00")
+    assert digest.hexdigest() == GOLDEN_LARGE_SHA256

@@ -6,11 +6,25 @@ from math import gcd
 
 import pytest
 
+import k0lab.circulant
+import k0lab.k0
 from k0lab.circulant import IntPolynomial
-from k0lab.errors import InvalidSpecError, NotGeneratingError, NotPurelyInfiniteSimpleError
-from k0lab.graphs import CayleySpec, build_cayley, build_complete_graph, k_cycle
+from k0lab.errors import (
+    InternalCheckError,
+    InvalidSpecError,
+    NotGeneratingError,
+    NotPurelyInfiniteSimpleError,
+)
+from k0lab.graphs import (
+    CayleySpec,
+    DirectedMultigraph,
+    build_cayley,
+    build_complete_graph,
+    k_cycle,
+)
 from k0lab.k0 import (
     K0Report,
+    _identity_class,
     analyze,
     closed_form_S01,
     companion_matrix,
@@ -19,7 +33,7 @@ from k0lab.k0 import (
     k0_via_full_snf,
     verify_Tn_structure,
 )
-from k0lab.zmatrix import FinAbGroup, IntMatrix, cokernel
+from k0lab.zmatrix import FinAbGroup, IntMatrix, cokernel, mat_pow
 
 C6_23 = CayleySpec.cyclic(6, [2, 3])
 
@@ -43,6 +57,17 @@ class TestCompanionMatrix:
     def test_zero_generator_rejected(self):
         with pytest.raises(InvalidSpecError):
             companion_matrix(CayleySpec.cyclic(5, [0, 1]))
+
+    def test_identity_class_is_orbit_sum_of_last_basis_vector(self):
+        # g = sum_{i<n} T^i e_{s_k}: the sum of the last columns of T^0..T^(n-1).
+        # Every T^j g has the same order in Coker(T^n - I), so the differential
+        # tests cannot tell g from e.g. sum T^i e_1; this pins the vector itself.
+        for n, gens, weights in [(6, (2, 3), (1, 1)), (11, (1, 4, 5), (2, 1, 3)), (9, (2,), (3,))]:
+            spec = CayleySpec.cyclic(n, gens, weights)
+            t = companion_matrix(spec).matrix
+            sk = max(gens)
+            expected = [sum(mat_pow(t, i).at(j, sk - 1) for i in range(n)) for j in range(sk)]
+            assert _identity_class(spec) == expected
 
 
 class TestK0ViaCompanion:
@@ -351,3 +376,59 @@ class TestCompanionAgreesWithFull:
                         spec = CayleySpec.cyclic(n, gens, weights)
                         full = k0_via_full_snf(build_cayley(spec))
                         assert k0_via_companion(spec) == full, (n, gens, weights)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_companion_method_matches_full(self, n):
+        # Every generating S of Z_n with 0 not in S, |S| <= 3, weights <= 3, W >= 2.
+        fields = ("k0", "identity_order", "det_value", "det_sign", "classification")
+        checked = 0
+        for size in range(1, 4):
+            for gens in itertools.combinations(range(1, n), size):
+                if gcd(n, *gens) != 1:
+                    continue
+                for weights in itertools.product((1, 2, 3), repeat=size):
+                    if sum(weights) < 2:
+                        continue
+                    spec = CayleySpec.cyclic(n, gens, weights)
+                    companion = analyze(spec, method="companion")
+                    full = analyze(spec, method="full")
+                    for field in fields:
+                        assert getattr(companion, field) == getattr(full, field), (
+                            field, n, gens, weights
+                        )
+                    checked += 1
+        assert checked > 0
+
+    def test_auto_past_limit_builds_no_graph(self, monkeypatch):
+        monkeypatch.delenv("K0LAB_CROSSCHECK_LIMIT", raising=False)
+        specs = [
+            CayleySpec.cyclic(40, gens, weights)
+            for gens, weights in [
+                ((1,), (3,)),
+                ((3, 7), (1, 2)),
+                ((2, 3), (2, 1)),  # singular: K0 has a free summand
+                ((1, 4, 8), (2, 1, 3)),
+                ((3, 5, 8), (1, 1, 1)),
+            ]
+        ]
+        expected = [analyze(spec, method="full").to_json_dict() for spec in specs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("n x n work on the companion path")
+
+        monkeypatch.setattr(k0lab.k0, "build_cayley", forbidden)
+        monkeypatch.setattr(DirectedMultigraph, "i_minus_at", forbidden)
+        monkeypatch.setattr(k0lab.circulant, "cayley_det", forbidden)
+        for spec, want in zip(specs, expected):
+            got = analyze(spec).to_json_dict()
+            assert got["method"] == "companion_reduction"
+            # The diagonal is P's, of size s_k; every other field matches.
+            for key in set(want) - {"method", "snf_diag"}:
+                assert got[key] == want[key], (key, spec.gens, spec.weights)
+
+    def test_both_mode_checks_identity_order_from_companion_side(self, monkeypatch):
+        spec = CayleySpec.cyclic(5, [1], [3])  # K0 = Z_242, [1] of order W - 1 = 2
+        assert analyze(spec, method="both").identity_order == 2
+        monkeypatch.setattr(k0lab.k0, "_identity_class", lambda spec: [0])
+        with pytest.raises(InternalCheckError, match=r"1 vs 2 for n=5 S=\(1,\) w=\(3,\)$"):
+            analyze(spec, method="both")
