@@ -365,11 +365,18 @@ def det_sign_closed_form(spec) -> int:
         raise NotGeneratingError(f"S does not generate Z_{spec.n}")
     if is_cayley_singular(spec):
         return 0
-    w_even = sum(w for s, w in zip(spec.gens, spec.weights) if s % 2 == 0)
-    w_odd = spec.total_weight - w_even
-    if spec.n % 2 == 0 and 1 + w_odd < w_even:
-        return 1
-    return -1
+    return nonsingular_det_sign(spec.n, spec.gens, spec.weights)
+
+
+def nonsingular_det_sign(n: int, gens: Sequence[int], weights: Sequence[int]) -> int:
+    """Sign of a nonzero det(I - A^t) for a cyclic spec: the parity branch of the criterion.
+
+    Positive exactly when n is even and 1 + W_1 < W_0, where W_0 and W_1
+    total the weights on even and odd generators; negative otherwise.
+    """
+    w_even = sum(w for s, w in zip(gens, weights) if s % 2 == 0)
+    w_odd = sum(weights) - w_even
+    return 1 if n % 2 == 0 and 1 + w_odd < w_even else -1
 
 
 TWO_GENERATOR_CASES = (

@@ -315,150 +315,84 @@ def k_cycle(n: int, k: int) -> DirectedMultigraph:
     return build_cayley(spec)
 
 
-def _successor_sets(g: DirectedMultigraph) -> list[int]:
-    """Children of each vertex as bitmasks (multiplicity ignored)."""
-    out = []
-    for row in g.adjacency:
-        mask = 0
-        for v, k in enumerate(row):
-            if k:
-                mask |= 1 << v
-        out.append(mask)
-    return out
+def _strong_components(g: DirectedMultigraph) -> tuple[list[int], int]:
+    """Strong component of every vertex, and the number of components.
 
-
-def _reachable(succ: list[int], start: int) -> int:
-    seen = 1 << start
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        new = succ[v] & ~seen
-        while new:
-            low = new & -new
-            seen |= low
-            frontier.append(low.bit_length() - 1)
-            new ^= low
-    return seen
+    Tarjan's algorithm with an explicit stack, so path length is not bounded
+    by the recursion limit.  Components are numbered as they close, which is
+    a reverse topological order of the condensation.
+    """
+    n = g.vertex_count
+    succ = [[w for w, k in enumerate(row) if k] for row in g.adjacency]
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n  # -1 while a visited vertex is still on the Tarjan stack
+    stack: list[int] = []
+    count = 0
+    visited = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if index[w] < 0:
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+    return comp, count
 
 
 def is_strongly_connected(g: DirectedMultigraph) -> bool:
     """Every ordered vertex pair is joined by a directed path."""
-    n = g.vertex_count
-    if n == 1:
-        return True
-    full = (1 << n) - 1
-    succ = _successor_sets(g)
-    if _reachable(succ, 0) != full:
-        return False
-    pred = [0] * n
-    for u, row in enumerate(g.adjacency):
-        for v, k in enumerate(row):
-            if k:
-                pred[v] |= 1 << u
-    return _reachable(pred, 0) == full
-
-
-def has_cycle(g: DirectedMultigraph) -> bool:
-    """True when the graph contains a directed cycle (loops count)."""
-    n = g.vertex_count
-    succ = _successor_sets(g)
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    for root in range(n):
-        if color[root]:
-            continue
-        stack = [(root, succ[root])]
-        color[root] = 1
-        while stack:
-            v, remaining = stack[-1]
-            if remaining == 0:
-                color[v] = 2
-                stack.pop()
-                continue
-            low = remaining & -remaining
-            stack[-1] = (v, remaining ^ low)
-            w = low.bit_length() - 1
-            if color[w] == 1:
-                return True
-            if color[w] == 0:
-                color[w] = 1
-                stack.append((w, succ[w]))
-    return False
-
-
-def every_cycle_has_exit(g: DirectedMultigraph) -> bool:
-    """Condition that no cycle is escape-free.
-
-    A cycle with no exit consists entirely of vertices of total out-degree
-    one, so it suffices to walk the unique-successor chains among those
-    vertices and look for a loop.
-    """
-    n = g.vertex_count
-    succ_unique = [-1] * n
-    for v, row in enumerate(g.adjacency):
-        if sum(row) == 1:
-            succ_unique[v] = next(w for w, k in enumerate(row) if k == 1)
-    state = [0] * n  # 0 new, 1 in progress, 2 cleared
-    for v in range(n):
-        if succ_unique[v] < 0 or state[v]:
-            continue
-        path = []
-        w = v
-        while w >= 0 and state[w] == 0:
-            state[w] = 1
-            path.append(w)
-            w = succ_unique[w]
-        if w >= 0 and state[w] == 1:
-            return False  # walked back into the current chain: an exitless cycle
-        for p in path:
-            state[p] = 2
-    return True
-
-
-def hereditary_saturated_closure(g: DirectedMultigraph, seed: Sequence[int]) -> frozenset[int]:
-    """Smallest vertex set containing the seed that is hereditary and saturated.
-
-    Computed by fixpoint iteration: close under edge ranges, then add any
-    non-sink whose children all lie inside, until stable.
-    """
-    n = g.vertex_count
-    succ = _successor_sets(g)
-    members = 0
-    for v in seed:
-        members |= 1 << v
-    changed = True
-    while changed:
-        changed = False
-        m = members
-        probe = m
-        while probe:
-            low = probe & -probe
-            members |= succ[low.bit_length() - 1]
-            probe ^= low
-        for v in range(n):
-            bit = 1 << v
-            if members & bit:
-                continue
-            s = succ[v]
-            if s and s & members == s:
-                members |= bit
-        changed = members != m
-    return frozenset(v for v in range(n) if members >> v & 1)
+    return _strong_components(g)[1] == 1
 
 
 def is_purely_infinite_simple(g: DirectedMultigraph) -> bool:
     """Graph criterion for pure infinite simplicity of the associated algebra.
 
-    Equivalent formulation used here: the graph has at least one cycle,
-    every cycle has an exit, and the hereditary-saturated closure of every
-    vertex is the whole vertex set.
+    For a finite graph E, L(E) is purely infinite simple exactly when every
+    vertex connects to a cycle, every cycle has an exit, and the only
+    hereditary saturated vertex sets are the empty set and all of E
+    (Abrams & Aranda Pino, *Purely infinite simple Leavitt path algebras*,
+    J. Pure Appl. Algebra 207, 2006).  On the strong components this reads:
+    no vertex is a sink, exactly one component carries a cycle (two or more
+    vertices, or a loop), and that component is not a bare cycle, i.e. some
+    vertex in it has total out-weight at least two (parallel edges count).
+    One linear-time component pass decides it.
     """
-    if not has_cycle(g):
+    if not all(any(row) for row in g.adjacency):
+        return False  # a sink
+    comp, count = _strong_components(g)
+    size = [0] * count
+    for c in comp:
+        size[c] += 1
+    cyclic = {c for v, c in enumerate(comp) if size[c] > 1 or g.adjacency[v][v]}
+    if len(cyclic) != 1:
         return False
-    if not every_cycle_has_exit(g):
-        return False
-    n = g.vertex_count
-    everything = frozenset(range(n))
-    return all(hereditary_saturated_closure(g, [v]) == everything for v in range(n))
+    (core,) = cyclic
+    return any(g.out_degree(v) >= 2 for v, c in enumerate(comp) if c == core)
 
 
 def cayley_is_pis(spec: CayleySpec) -> bool:

@@ -299,7 +299,7 @@ def analyze(
                 diag, k0_companion, order_companion = cokernel_with_class(
                     _companion_power(spec), _identity_class(spec)
                 )
-                named = f"n={n} S={spec.gens} w={spec.weights}"
+                named = _spec_name(n, spec.gens, spec.weights)
                 if k0_companion != k0_result:
                     raise InternalCheckError(
                         f"companion reduction disagrees with the full Smith form: "
@@ -338,7 +338,14 @@ def analyze(
 
 
 def _validate_report(report: K0Report) -> None:
-    """Internal consistency: |K0| = |det| when nonsingular, rank = nullity otherwise."""
+    """Internal consistency of a purely infinite simple report.
+
+    |K0| = |det| when nonsingular, K0 infinite otherwise.  On a Cayley spec
+    every vertex has in-weight W, so (I - A^t) 1 = (1 - W) 1 and the order
+    of [1] divides W - 1.  On a cyclic spec a nonzero det has the sign of
+    the parity rule.  These two cost O(|S|) and share nothing with the
+    reduction, so they hold past the cross-check limit too.
+    """
     if report.k0 is None:
         raise InternalCheckError("purely infinite simple report without K0")
     if report.det_value != 0:
@@ -349,6 +356,25 @@ def _validate_report(report: K0Report) -> None:
     else:
         if report.k0.free_rank == 0:
             raise InternalCheckError("det vanishes but K0 came out finite")
+    if report.total_weight is None:
+        return
+    order = report.identity_order
+    if not isinstance(order, int) or (report.total_weight - 1) % order:
+        raise InternalCheckError(
+            f"identity order {order} does not divide W - 1 = {report.total_weight - 1} "
+            f"for {_spec_name(report.n, report.generators, report.weights)}"
+        )
+    if report.group_kind == "cyclic" and report.det_value != 0:
+        expected = circ.nonsingular_det_sign(report.n, report.generators, report.weights)
+        if report.det_sign != expected:
+            raise InternalCheckError(
+                f"det sign {report.det_sign} contradicts the parity rule ({expected}) "
+                f"for {_spec_name(report.n, report.generators, report.weights)}"
+            )
+
+
+def _spec_name(n: int, gens: tuple[int, ...], weights: tuple[int, ...]) -> str:
+    return f"n={n} S={gens} w={weights}"
 
 
 def _with_classification(report: K0Report, graph: DirectedMultigraph | None) -> K0Report:

@@ -2,9 +2,10 @@
 
 These share no algorithms with the engine they validate: invariant
 factors come from determinant-divisor gcds over all minors, determinants
-from cofactor expansion, and lattice membership from a self-contained
-Hermite reduction.  Everything here is exponential or cubic with no
-cleverness; keep the inputs small.
+from cofactor expansion, lattice membership from a self-contained
+Hermite reduction, and pure infinite simplicity from one
+hereditary-saturated closure per vertex.  Everything here is exponential
+or cubic with no cleverness; keep the inputs small.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
+from k0lab.graphs import DirectedMultigraph
 from k0lab.zmatrix import IntMatrix
 
 
@@ -132,3 +134,118 @@ def lattice_membership(m: IntMatrix, vec: Sequence[int], multiple: int) -> bool:
     base = _hermite_row_basis(cols)
     extended = _hermite_row_basis(cols + [target])
     return base == extended
+
+
+def _successor_sets(g: DirectedMultigraph) -> list[int]:
+    """Children of each vertex as bitmasks (multiplicity ignored)."""
+    out = []
+    for row in g.adjacency:
+        mask = 0
+        for v, k in enumerate(row):
+            if k:
+                mask |= 1 << v
+        out.append(mask)
+    return out
+
+
+def has_cycle(g: DirectedMultigraph) -> bool:
+    """True when the graph contains a directed cycle (loops count)."""
+    n = g.vertex_count
+    succ = _successor_sets(g)
+    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
+    for root in range(n):
+        if color[root]:
+            continue
+        stack = [(root, succ[root])]
+        color[root] = 1
+        while stack:
+            v, remaining = stack[-1]
+            if remaining == 0:
+                color[v] = 2
+                stack.pop()
+                continue
+            low = remaining & -remaining
+            stack[-1] = (v, remaining ^ low)
+            w = low.bit_length() - 1
+            if color[w] == 1:
+                return True
+            if color[w] == 0:
+                color[w] = 1
+                stack.append((w, succ[w]))
+    return False
+
+
+def every_cycle_has_exit(g: DirectedMultigraph) -> bool:
+    """Condition that no cycle is escape-free.
+
+    A cycle with no exit consists entirely of vertices of total out-degree
+    one, so it suffices to walk the unique-successor chains among those
+    vertices and look for a loop.
+    """
+    n = g.vertex_count
+    succ_unique = [-1] * n
+    for v, row in enumerate(g.adjacency):
+        if sum(row) == 1:
+            succ_unique[v] = next(w for w, k in enumerate(row) if k == 1)
+    state = [0] * n  # 0 new, 1 in progress, 2 cleared
+    for v in range(n):
+        if succ_unique[v] < 0 or state[v]:
+            continue
+        path = []
+        w = v
+        while w >= 0 and state[w] == 0:
+            state[w] = 1
+            path.append(w)
+            w = succ_unique[w]
+        if w >= 0 and state[w] == 1:
+            return False  # walked back into the current chain: an exitless cycle
+        for p in path:
+            state[p] = 2
+    return True
+
+
+def hereditary_saturated_closure(g: DirectedMultigraph, seed: Sequence[int]) -> frozenset[int]:
+    """Smallest vertex set containing the seed that is hereditary and saturated.
+
+    Computed by fixpoint iteration: close under edge ranges, then add any
+    non-sink whose children all lie inside, until stable.
+    """
+    n = g.vertex_count
+    succ = _successor_sets(g)
+    members = 0
+    for v in seed:
+        members |= 1 << v
+    changed = True
+    while changed:
+        changed = False
+        m = members
+        probe = m
+        while probe:
+            low = probe & -probe
+            members |= succ[low.bit_length() - 1]
+            probe ^= low
+        for v in range(n):
+            bit = 1 << v
+            if members & bit:
+                continue
+            s = succ[v]
+            if s and s & members == s:
+                members |= bit
+        changed = members != m
+    return frozenset(v for v in range(n) if members >> v & 1)
+
+
+def pis_by_closure(g: DirectedMultigraph) -> bool:
+    """Pure infinite simplicity by closures: the reference for the component pass.
+
+    Equivalent formulation used here: the graph has at least one cycle,
+    every cycle has an exit, and the hereditary-saturated closure of every
+    vertex is the whole vertex set.
+    """
+    if not has_cycle(g):
+        return False
+    if not every_cycle_has_exit(g):
+        return False
+    n = g.vertex_count
+    everything = frozenset(range(n))
+    return all(hereditary_saturated_closure(g, [v]) == everything for v in range(n))

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -14,9 +15,6 @@ from k0lab.graphs import (
     build_cyclic_group,
     build_dihedral_group,
     cayley_is_pis,
-    every_cycle_has_exit,
-    has_cycle,
-    hereditary_saturated_closure,
     in_split,
     is_purely_infinite_simple,
     is_strongly_connected,
@@ -27,6 +25,8 @@ from k0lab.graphs import (
     write_group_table,
 )
 from k0lab.zmatrix import cokernel, det
+
+from oracle import every_cycle_has_exit, has_cycle, hereditary_saturated_closure, pis_by_closure
 
 
 class TestGroups:
@@ -209,6 +209,63 @@ class TestPredicates:
         assert not is_strongly_connected(build_cayley(rotations_only))
         full = CayleySpec(table, (r, s), (1, 1))
         assert is_strongly_connected(build_cayley(full))
+
+
+def _all_graphs(n, entries):
+    """Every n-vertex multigraph whose adjacency entries are drawn from ``entries``."""
+    for flat in itertools.product(entries, repeat=n * n):
+        yield DirectedMultigraph.from_rows([flat[i * n : (i + 1) * n] for i in range(n)])
+
+
+class TestPisAgreesWithClosure:
+    """The strong-component predicate against the closure criterion in ``oracle``."""
+
+    def _assert_agree(self, graphs):
+        verdicts = {True: 0, False: 0}
+        for g in graphs:
+            fast = is_purely_infinite_simple(g)
+            assert fast == pis_by_closure(g), g.adjacency
+            verdicts[fast] += 1
+        return verdicts
+
+    def test_every_graph_up_to_three_vertices_entries_0_to_2(self):
+        verdicts = self._assert_agree(
+            g for n in (1, 2, 3) for g in _all_graphs(n, range(3))
+        )
+        assert sum(verdicts.values()) == 3 + 3**4 + 3**9
+        assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+    def test_every_four_vertex_graph_entries_0_1(self):
+        verdicts = self._assert_agree(_all_graphs(4, range(2)))
+        assert sum(verdicts.values()) == 2**16
+        assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+    def test_seeded_random_graphs_up_to_nine_vertices(self):
+        rng = random.Random(20061)
+
+        def draw():
+            n = rng.randint(1, 9)
+            density = rng.uniform(0.05, 0.5)
+            return DirectedMultigraph.from_rows(
+                [[rng.randint(1, 2) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+            )
+
+        verdicts = self._assert_agree(draw() for _ in range(3000))
+        assert verdicts[True] > 300 and verdicts[False] > 300
+
+    def test_long_path_into_two_loops_has_no_recursion_limit(self):
+        # 1,200 vertices in a path, deeper than the default recursion limit,
+        # ending in a vertex with two loops: purely infinite simple.
+        n = 1200
+        rows = [[0] * n for _ in range(n)]
+        for v in range(n - 1):
+            rows[v][v + 1] = 1
+        rows[n - 1][n - 1] = 2
+        g = DirectedMultigraph.from_rows(rows)
+        assert is_purely_infinite_simple(g)
+        assert not is_strongly_connected(g)
+        rows[n - 1][0] = 1
+        assert is_strongly_connected(DirectedMultigraph.from_rows(rows))
 
 
 class TestCayleyIsPis:

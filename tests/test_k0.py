@@ -2,6 +2,7 @@ import itertools
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -25,6 +26,7 @@ from k0lab.graphs import (
 from k0lab.k0 import (
     K0Report,
     _identity_class,
+    _validate_report,
     analyze,
     closed_form_S01,
     companion_matrix,
@@ -211,6 +213,45 @@ def test_validate_report_survives_optimize():
         "False |K0| = 7 but |det| = 5\n"
         "False purely infinite simple report without K0\n"
     )
+
+
+class TestReportWitnesses:
+    """O(|S|) checks in _validate_report that hold past the cross-check limit."""
+
+    def test_identity_order_must_divide_w_minus_one(self):
+        for spec in (CayleySpec.cyclic(40, [3, 7]), CayleySpec.dihedral(7)):
+            report = analyze(spec)  # W = 2, so [1] = 0 and its order is 1
+            assert report.identity_order == 1
+            for wrong in (2, "infinite"):
+                with pytest.raises(InternalCheckError, match=r"does not divide W - 1 = 1 for n="):
+                    _validate_report(replace(report, identity_order=wrong))
+
+    def test_det_sign_must_follow_parity_rule(self):
+        report = analyze(CayleySpec.cyclic(40, [1, 4, 8], [2, 1, 3]))
+        assert report.det_value != 0
+        flipped = replace(report, det_value=-report.det_value, det_sign=-report.det_sign)
+        with pytest.raises(
+            InternalCheckError, match=r"parity rule .* for n=40 S=\(1, 4, 8\) w=\(2, 1, 3\)$"
+        ):
+            _validate_report(flipped)
+
+    def test_companion_path_past_limit_is_witnessed(self, monkeypatch):
+        monkeypatch.delenv("K0LAB_CROSSCHECK_LIMIT", raising=False)
+        spec = CayleySpec.cyclic(40, [3, 7], [1, 2])
+        assert analyze(spec).method == "companion_reduction"
+        real_det, real_reduce = k0lab.k0.det, k0lab.k0.cokernel_with_class
+        monkeypatch.setattr(k0lab.k0, "det", lambda m: -real_det(m))
+        with pytest.raises(InternalCheckError, match="parity rule"):
+            analyze(spec)
+        monkeypatch.setattr(k0lab.k0, "det", real_det)
+
+        def doubled_order(m, vec=None):
+            diag, group, order = real_reduce(m, vec)
+            return diag, group, 2 * order
+
+        monkeypatch.setattr(k0lab.k0, "cokernel_with_class", doubled_order)
+        with pytest.raises(InternalCheckError, match="does not divide W - 1"):
+            analyze(spec)
 
 
 class TestReportJson:
