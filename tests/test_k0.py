@@ -238,7 +238,9 @@ class TestReportWitnesses:
     def test_companion_path_past_limit_is_witnessed(self, monkeypatch):
         monkeypatch.delenv("K0LAB_CROSSCHECK_LIMIT", raising=False)
         spec = CayleySpec.cyclic(40, [3, 7], [1, 2])
-        assert analyze(spec).method == "companion_reduction"
+        report = analyze(spec)
+        # W - 1 = 2, so a doubled order (4) cannot divide it.
+        assert (report.method, report.identity_order) == ("companion_reduction", 2)
         real_det, real_reduce = k0lab.k0.det, k0lab.k0.cokernel_with_class
         monkeypatch.setattr(k0lab.k0, "det", lambda m: -real_det(m))
         with pytest.raises(InternalCheckError, match="parity rule"):
