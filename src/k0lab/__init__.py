@@ -60,13 +60,11 @@ from .zmatrix import (
     FinAbGroup,
     IntMatrix,
     MatrixFormatError,
-    SnfResult,
     cokernel,
     cokernel_with_class,
     det,
     mat_pow,
     rank,
-    snf,
 )
 
 __version__ = "0.1.0"

@@ -195,6 +195,8 @@ def read_group_table(text: str) -> FiniteGroupTable:
         lineno += 1
         if not raw.strip():
             continue
+        if len(rows) == order:
+            raise GroupTableError(f"extra line after the {order} table rows", lineno)
         parts = raw.split()
         if len(parts) != order:
             raise GroupTableError(f"expected {order} entries, found {len(parts)}", lineno)
@@ -205,8 +207,6 @@ def read_group_table(text: str) -> FiniteGroupTable:
         if any(x < 0 or x >= order for x in row):
             raise GroupTableError("entries must be element indices", lineno)
         rows.append(row)
-        if len(rows) == order:
-            break
     if len(rows) != order:
         raise GroupTableError(f"expected {order} table rows, found {len(rows)}", lineno + 1)
     table = FiniteGroupTable(order, tuple(rows), identity=0)

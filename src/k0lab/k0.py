@@ -410,17 +410,8 @@ def f_sequence(j: int, k: int, upto: int) -> list[int]:
         raise InvalidSpecError("need 1 <= j < k")
     if upto < 0:
         raise InvalidSpecError("length must be non-negative")
-    vals: list[int] = []
-    for m in range(1, upto + 1):
-        if m <= k - 2:
-            vals.append(0)
-        elif m == k - 1:
-            vals.append(1)
-        elif m == k:
-            vals.append(0)
-        else:
-            vals.append(vals[m - j - 1] + vals[m - k - 1])
-    return vals
+    cache: dict[int, int] = {}
+    return [_f_extended(j, k, m, cache) for m in range(1, upto + 1)]
 
 
 def _f_extended(j: int, k: int, m: int, cache: dict[int, int]) -> int:

@@ -1,9 +1,10 @@
 """Exact dense integer matrix arithmetic.
 
-Everything here works with arbitrary-precision Python ints: Smith normal
-form with unimodular transforms, fraction-free (Bareiss) determinants,
-rank, matrix powers, and cokernels presented as finitely generated
-abelian groups in invariant-factor form.
+Everything here works with arbitrary-precision Python ints: Smith
+diagonals (a diagonalizing elimination, then a gcd/lcm pass that chains
+the diagonal), fraction-free (Bareiss) determinants, rank, matrix powers,
+and cokernels presented as finitely generated abelian groups in
+invariant-factor form.
 """
 
 from __future__ import annotations
@@ -171,16 +172,6 @@ class FinAbGroup:
         return self.display()
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """Smith normal form ``u * m * v = d`` with unimodular u, v."""
-
-    d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-    diag: tuple[int, ...]
-
-
 def _min_abs_pivot(a: list[list[int]], t: int, rows: int, cols: int):
     """Position of a nonzero entry of minimal |value| in the submatrix a[t:, t:]."""
     best = None
@@ -198,35 +189,30 @@ def _min_abs_pivot(a: list[list[int]], t: int, rows: int, cols: int):
     return best
 
 
-def _snf_inplace(a: list[list[int]], cols: int, v: list[list[int]] | None):
-    """Reduce the first ``cols`` columns of a to Smith form in place.
+def _diagonalize(a: list[list[int]], cols: int) -> None:
+    """Reduce the first ``cols`` columns of a to a diagonal in place.
 
     Entries of a row past ``cols`` are passengers: every row operation moves
-    them along and nothing else reads them.  Started as the identity they
-    end as the left transform; started as one entry per row, vec, they end
-    as that transform times vec.  Every column operation is applied to v.
+    them along and nothing else reads them.  Started as one entry per row,
+    vec, they end as u*vec, where u is the left transform that, with some
+    column transform on the right, takes the matrix to this diagonal.
 
     Pivots are chosen with minimal absolute value to limit coefficient
-    growth.  On return the diagonal of a is non-negative, forms a
-    divisibility chain, and all zeros trail.
+    growth.  On return the diagonal entries may be negative and need not
+    divide each other; zeros trail.
     """
     rows = len(a)
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
+    for t in range(min(rows, cols)):
         pos = _min_abs_pivot(a, t, rows, cols)
         if pos is None:
             break
-        while True:
+        while pos is not None:
             pi, pj = pos
             if pi != t:
                 a[t], a[pi] = a[pi], a[t]
             if pj != t:
                 for row in a:
                     row[t], row[pj] = row[pj], row[t]
-                if v is not None:
-                    for row in v:
-                        row[t], row[pj] = row[pj], row[t]
             pivot = a[t][t]
             dirty = False
             at = a[t]
@@ -246,64 +232,43 @@ def _snf_inplace(a: list[list[int]], cols: int, v: list[list[int]] | None):
                     if q:
                         for row in a:
                             row[j] -= q * row[t]
-                        if v is not None:
-                            for row in v:
-                                row[j] -= q * row[t]
                     if at[j] != 0:
                         dirty = True
-            if dirty:
-                # Remainders smaller than |pivot| were created; re-pivot on them.
-                pos = _min_abs_pivot(a, t, rows, cols)
-                continue
-            # Row and column are clear; enforce that the pivot divides every
-            # remaining entry so the diagonal chains.
-            offender = None
-            for i in range(t + 1, rows):
-                ai = a[i]
-                for j in range(t + 1, cols):
-                    if ai[j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            at[t:] = [p + r for p, r in zip(at[t:], a[offender][t:])]
-            pos = (t, t)
-        if a[t][t] < 0:
-            a[t][t:] = [-x for x in a[t][t:]]
-        t += 1
+            # Remainders smaller than |pivot| were created; re-pivot on them.
+            pos = _min_abs_pivot(a, t, rows, cols) if dirty else None
 
 
-def snf(m: IntMatrix) -> SnfResult:
-    """Smith normal form with transforms: u * m * v = d exactly.
+def _invariant_factors(diag: Sequence[int]) -> tuple[int, ...]:
+    """Smith diagonal of a diagonal matrix: units first, then the chain, zeros last.
 
-    The diagonal is non-negative, each entry divides the next nonzero one,
-    and zeros trail.  u and v are unimodular (det +-1).
+    Z/a + Z/b is isomorphic to Z/gcd(a, b) + Z/lcm(a, b), so pairwise
+    (gcd, lcm) passes over the non-unit absolute values leave each entry
+    dividing the next.
     """
-    # u rides along as passenger columns that start at the identity.
-    a = [row + [1 if i == j else 0 for j in range(m.rows)] for i, row in enumerate(m.to_lists())]
-    v = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
-    _snf_inplace(a, m.cols, v)
-    n = min(m.rows, m.cols)
-    diag = tuple(a[i][i] for i in range(n))
-    return SnfResult(
-        d=IntMatrix.from_rows([row[: m.cols] for row in a]),
-        u=IntMatrix.from_rows([row[m.cols :] for row in a]),
-        v=IntMatrix.from_rows(v),
-        diag=diag,
-    )
+    units = 0
+    rest = []
+    for d in diag:
+        d = abs(d)
+        if d == 1:
+            units += 1
+        elif d:
+            rest.append(d)
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return (1,) * units + tuple(rest) + (0,) * (len(diag) - units - len(rest))
 
 
 def snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors only, skipping transform bookkeeping."""
+    """Invariant factors of m: the diagonal of its Smith normal form."""
     return cokernel_with_class(m)[0]
 
 
 def cokernel_with_class(
     m: IntMatrix, vec: Sequence[int] | None = None
 ) -> tuple[tuple[int, ...], FinAbGroup, int | None]:
-    """One Smith reduction of m: its diagonal, its cokernel, and the order of [vec].
+    """One reduction of m: its Smith diagonal, its cokernel, and the order of [vec].
 
     The cokernel of the column lattice of m inside Z^rows takes torsion from
     the invariant factors > 1; zero invariant factors and surplus rows
@@ -312,11 +277,12 @@ def cokernel_with_class(
     The order is the least d >= 1 with d*vec in the column lattice, or None
     when no such d exists or vec is not given.  With vec, the reduction
     applies its row operations to vec itself and ends holding u*vec, where
-    u*m*v is the Smith form; no transform matrix is built.  d*vec lies in the
-    lattice exactly when each coordinate of u*(d*vec) is divisible by the
-    matching invariant factor, so d is the lcm of s_i / gcd(s_i, (u*vec)_i);
-    a zero invariant factor or surplus row against a nonzero coordinate
-    makes the order infinite.
+    u*m*v is diagonal with raw entries s_i; no transform matrix is built.
+    d*vec lies in the lattice exactly when each coordinate of u*(d*vec) is
+    divisible by the matching s_i, so d is the lcm of s_i / gcd(s_i,
+    (u*vec)_i).  This holds for any diagonal, chained or not, so the raw one
+    is read, not the invariant factors.  A zero s_i or surplus row against
+    a nonzero coordinate makes the order infinite.
     """
     if vec is not None and len(vec) != m.rows:
         raise ValueError("vector length must equal rows")
@@ -324,20 +290,21 @@ def cokernel_with_class(
     if vec is not None:
         for row, x in zip(a, vec):
             row.append(x)
-    _snf_inplace(a, m.cols, None)
-    diag = tuple(a[i][i] for i in range(min(m.rows, m.cols)))
+    _diagonalize(a, m.cols)
+    raw = [a[i][i] for i in range(min(m.rows, m.cols))]
+    diag = _invariant_factors(raw)
     group = FinAbGroup.from_invariants(diag, free_rank=m.rows - len(diag))
     if vec is None:
         return diag, group, None
     order = 1
     for i, row in enumerate(a):
         w = row[-1]
-        s = diag[i] if i < len(diag) else 0
+        s = raw[i] if i < len(raw) else 0
         if s == 0:
             if w != 0:
                 return diag, group, None
         else:
-            order = lcm(order, s // gcd(s, w))
+            order = lcm(order, s // gcd(s, w))  # lcm drops the sign of s
     return diag, group, order
 
 
@@ -415,6 +382,8 @@ def read_matrix(text: str) -> IntMatrix:
         lineno += 1
         if not raw.strip():
             continue
+        if len(out) == rows:
+            raise MatrixFormatError(f"extra line after the {rows} declared rows", lineno)
         parts = raw.split()
         if len(parts) != cols:
             raise MatrixFormatError(f"expected {cols} entries, found {len(parts)}", lineno)
@@ -422,8 +391,6 @@ def read_matrix(text: str) -> IntMatrix:
             out.append([int(p) for p in parts])
         except ValueError:
             raise MatrixFormatError("entries must be integers", lineno) from None
-        if len(out) == rows:
-            break
     if len(out) != rows:
         raise MatrixFormatError(f"expected {rows} rows, found {len(out)}", lineno + 1)
     return IntMatrix.from_rows(out)

@@ -132,6 +132,14 @@ class TestSnfCommand:
         assert code == 65
         assert "line 3" in err
 
+    def test_extra_row_exit_65(self, capsys, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_text("2 2\n1 0\n0 1\n5 5\n")
+        code, out, err = run_cli(capsys, "snf", "--in", str(f))
+        assert code == 65
+        assert out == ""
+        assert "line 4" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "snf", "--in", str(tmp_path / "nope.txt"))
         assert code == 65

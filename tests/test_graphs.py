@@ -78,6 +78,13 @@ class TestGroups:
         with pytest.raises(InvalidSpecError):
             read_group_table("2\n0 1\n1 1\n")
 
+    def test_table_file_rejects_extra_rows(self):
+        assert read_group_table("2\n0 1\n1 0\n\n  \n").order == 2
+        for extra in ("0 1", "x"):
+            with pytest.raises(GroupTableError) as exc:
+                read_group_table(f"2\n0 1\n1 0\n\n{extra}\n")
+            assert exc.value.line == 5
+
 
 class TestBuildCayley:
     def test_c6_23_adjacency(self):
