@@ -7,7 +7,10 @@ full Smith reduction of the n x n matrix or by the companion-matrix
 shortcut.  For a cyclic spec with 0 not in S the shortcut yields all
 three from the s_k x s_k matrix P = T^n - I alone: K0 = Coker P, [1]
 maps to g = sum_{i<n} T^i e_{s_k}, and det(I - A^t) = (-1)^{s_k} det P.
-No n x n graph or matrix is built on that path.
+No n x n graph or matrix is built on that path.  T is multiplication by
+x on Z[x]/(h), h its characteristic polynomial, so P and g come from one
+square-and-multiply pass over the bits of n in that ring: O(s_k^2 log n)
+products, with no matrix power.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .graphs import (
     is_purely_infinite_simple,
     is_strongly_connected,
 )
-from .zmatrix import FinAbGroup, IntMatrix, cokernel, cokernel_with_class, det, mat_pow
+from .zmatrix import FinAbGroup, IntMatrix, cokernel, cokernel_with_class, det
 
 DEFAULT_CROSSCHECK_LIMIT = 24
 CROSSCHECK_ENV = "K0LAB_CROSSCHECK_LIMIT"
@@ -80,30 +83,29 @@ def _require_generating(spec: CayleySpec, graph: DirectedMultigraph | None = Non
         raise NotGeneratingError("S does not generate the group")
 
 
-def _companion_power(spec: CayleySpec) -> IntMatrix:
-    """T^n - I for the companion matrix T of a cyclic spec with 0 not in S."""
-    comp = companion_matrix(spec)
-    return mat_pow(comp.matrix, spec.n) - IntMatrix.identity(comp.size)
+def _companion_presentation(h: circ.IntPolynomial, n: int) -> tuple[IntMatrix, list[int]]:
+    """P = T^n - I and g = sum_{i<n} T^i e_{s_k} for the companion matrix T of monic h.
 
-
-def _identity_class(spec: CayleySpec) -> list[int]:
-    """g = sum_{i<n} T^i e_{s_k}: the class of [1] in Coker(T^n - I).
-
-    T v is v shifted down one place plus v[-1] times the weight column
-    (w(s) in row s_k - s), so g costs O(n |S|) additions besides the shifts.
+    T is multiplication by x on Z[x]/(h) in the basis 1, x, ..., x^{s_k - 1},
+    so column j of T^n is x^{n+j} mod h and g is x^{s_k - 1} N(n) mod h, with
+    N(m) = 1 + x + ... + x^{m-1}.  One pass over the bits of n gives x^n and
+    N(n) together: N(2m) = N(m)(1 + x^m) and N(m + 1) = N(m) + x^m.
     """
-    sk = max(spec.gens)
-    weight_rows = [(sk - s, w) for s, w in zip(spec.gens, spec.weights)]
-    v = [0] * sk
-    v[-1] = 1
-    g = v
-    for _ in range(spec.n - 1):
-        top = v[-1]
-        v = [0] + v[:-1]
-        for row, w in weight_rows:
-            v[row] += w * top
-        g = [a + b for a, b in zip(g, v)]
-    return g
+    sk = h.degree()
+    one, x = circ.IntPolynomial.x_power(0), circ.IntPolynomial.x_power(1)
+    power, total = one, circ.IntPolynomial()  # x^m and N(m) mod h, from m = 0
+    for bit in bin(n)[2:]:
+        total = (total * (one + power)).divmod_by(h)[1]
+        power = (power * power).divmod_by(h)[1]
+        if bit == "1":
+            total, power = total + power, (power * x).divmod_by(h)[1]
+    columns = []
+    for _ in range(sk):
+        columns.append(power.coeffs + (0,) * (sk - len(power.coeffs)))
+        power = (power * x).divmod_by(h)[1]
+    p = IntMatrix.from_rows([[c[i] - (i == j) for j, c in enumerate(columns)] for i in range(sk)])
+    g = (total * circ.IntPolynomial.x_power(sk - 1)).divmod_by(h)[1].coeffs
+    return p, list(g) + [0] * (sk - len(g))
 
 
 def k0_via_companion(spec: CayleySpec) -> FinAbGroup:
@@ -111,7 +113,7 @@ def k0_via_companion(spec: CayleySpec) -> FinAbGroup:
     _require_generating(spec)
     if spec.total_weight < 2:
         raise InvalidSpecError("total weight must be at least 2")
-    return cokernel(_companion_power(spec))
+    return cokernel(_companion_presentation(companion_matrix(spec).char_poly, spec.n)[0])
 
 
 def k0_via_full_snf(g: DirectedMultigraph) -> FinAbGroup:
@@ -283,8 +285,8 @@ def analyze(
         method = "both"
 
     if method == "companion_reduction":
-        p = _companion_power(spec)
-        diag, k0_result, order = cokernel_with_class(p, _identity_class(spec))
+        p, g = _companion_presentation(companion_matrix(spec).char_poly, n)
+        diag, k0_result, order = cokernel_with_class(p, g)
         det_value = (-1) ** max(spec.gens) * det(p)
     else:
         if graph is None:
@@ -297,7 +299,7 @@ def analyze(
             diag, k0_result, order = cokernel_with_class(m, [1] * n)
             if method == "both":
                 diag, k0_companion, order_companion = cokernel_with_class(
-                    _companion_power(spec), _identity_class(spec)
+                    *_companion_presentation(companion_matrix(spec).char_poly, n)
                 )
                 named = _spec_name(n, spec.gens, spec.weights)
                 if k0_companion != k0_result:
@@ -446,20 +448,16 @@ def verify_Tn_structure(d1: int, d2: int, n: int) -> bool:
         raise InvalidSpecError("d1 and d2 must be coprime")
     if n < 1:
         raise InvalidSpecError("n must be positive")
-    size = d2
-    rows = [[0] * size for _ in range(size)]
-    for i in range(1, size):
-        rows[i][i - 1] = 1
-    rows[d2 - d1][size - 1] += 1
-    rows[0][size - 1] += 1
-    t_matrix = IntMatrix.from_rows(rows)
-    power = mat_pow(t_matrix, n)
+    coeffs = [0] * (d2 + 1)
+    coeffs[0] = coeffs[d2 - d1] = -1
+    coeffs[d2] = 1  # x^{d2} - x^{d2 - d1} - 1, the char poly of T for S = {d1, d2}
+    p = _companion_presentation(circ.IntPolynomial.of(coeffs), n)[0]
     cache: dict[int, int] = {}
     k = d2 - d1
-    for i in range(1, size + 1):
+    for i in range(1, d2 + 1):
         lead = n - i if i <= k else n - i + d2
-        for col in range(size):
+        for col in range(d2):
             expected = _f_extended(d1, d2, lead + col, cache)
-            if power.at(i - 1, col) != expected:
+            if p.at(i - 1, col) + (i - 1 == col) != expected:
                 return False
     return True

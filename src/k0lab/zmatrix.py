@@ -210,8 +210,9 @@ def _diagonalize(a: list[list[int]], cols: int) -> None:
             pi, pj = pos
             if pi != t:
                 a[t], a[pi] = a[pi], a[t]
+            # Column operations skip rows above t: they hold 0 in every column >= t.
             if pj != t:
-                for row in a:
+                for row in a[t:]:
                     row[t], row[pj] = row[pj], row[t]
             pivot = a[t][t]
             dirty = False
@@ -230,7 +231,7 @@ def _diagonalize(a: list[list[int]], cols: int) -> None:
                 if x != 0:
                     q = x // pivot
                     if q:
-                        for row in a:
+                        for row in a[t:]:
                             row[j] -= q * row[t]
                     if at[j] != 0:
                         dirty = True

@@ -1,8 +1,17 @@
+import os
 import random
 
 import pytest
 
+import k0lab
 from k0lab.zmatrix import IntMatrix
+
+
+def src_on_path() -> dict[str, str]:
+    """The environment for a child Python that imports the same k0lab as this process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k0lab.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, inherited] if inherited else [src])}
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 4) -> IntMatrix:

@@ -8,6 +8,8 @@ import k0lab.cli
 from k0lab.cli import main
 from k0lab.errors import InternalCheckError
 
+from conftest import src_on_path
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -318,6 +320,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "k0lab.cli", "cayley", "--n", "6", "--gens", "2,3"],
         capture_output=True,
         text=True,
+        env=src_on_path(),
     )
     assert proc.returncode == 0
     assert "K0 = Z_7" in proc.stdout

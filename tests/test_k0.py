@@ -25,7 +25,7 @@ from k0lab.graphs import (
 )
 from k0lab.k0 import (
     K0Report,
-    _identity_class,
+    _companion_presentation,
     _validate_report,
     analyze,
     closed_form_S01,
@@ -36,6 +36,8 @@ from k0lab.k0 import (
     verify_Tn_structure,
 )
 from k0lab.zmatrix import FinAbGroup, IntMatrix, cokernel, mat_pow
+
+from conftest import src_on_path
 
 C6_23 = CayleySpec.cyclic(6, [2, 3])
 
@@ -69,7 +71,23 @@ class TestCompanionMatrix:
             t = companion_matrix(spec).matrix
             sk = max(gens)
             expected = [sum(mat_pow(t, i).at(j, sk - 1) for i in range(n)) for j in range(sk)]
-            assert _identity_class(spec) == expected
+            assert _companion_presentation(companion_matrix(spec).char_poly, n)[1] == expected
+
+    def test_ring_power_matches_mat_pow(self):
+        # P from Z[x]/(h) against T^n - I by matrix powers, with steps up to
+        # n - 1, so both s_k = 1 and s_k near n are covered.
+        count = 0
+        for n in range(2, 13):
+            for k in (1, 2, 3):
+                for gens in itertools.combinations(range(1, n), k):
+                    if gcd(n, *gens) != 1:
+                        continue
+                    for weights in itertools.product((1, 2), repeat=k):
+                        comp = companion_matrix(CayleySpec.cyclic(n, gens, weights))
+                        p = _companion_presentation(comp.char_poly, n)[0]
+                        assert p == mat_pow(comp.matrix, n) - IntMatrix.identity(comp.size)
+                        count += 1
+        assert count > 4000
 
 
 class TestK0ViaCompanion:
@@ -207,7 +225,9 @@ def test_validate_report_survives_optimize():
         "    except InternalCheckError as exc:\n"
         "        print(__debug__, exc)\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=src_on_path()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
         "False |K0| = 7 but |det| = 5\n"
@@ -472,6 +492,9 @@ class TestCompanionAgreesWithFull:
     def test_both_mode_checks_identity_order_from_companion_side(self, monkeypatch):
         spec = CayleySpec.cyclic(5, [1], [3])  # K0 = Z_242, [1] of order W - 1 = 2
         assert analyze(spec, method="both").identity_order == 2
-        monkeypatch.setattr(k0lab.k0, "_identity_class", lambda spec: [0])
+        presentation = k0lab.k0._companion_presentation
+        monkeypatch.setattr(
+            k0lab.k0, "_companion_presentation", lambda h, n: (presentation(h, n)[0], [0])
+        )
         with pytest.raises(InternalCheckError, match=r"1 vs 2 for n=5 S=\(1,\) w=\(3,\)$"):
             analyze(spec, method="both")
