@@ -342,7 +342,9 @@ def analyze(
 def _validate_report(report: K0Report) -> None:
     """Internal consistency of a purely infinite simple report.
 
-    |K0| = |det| when nonsingular, K0 infinite otherwise.  On a Cayley spec
+    |K0| = |det| when nonsingular, K0 infinite otherwise.  ``det`` shares no
+    elimination with the Smith core, so on graphs with no cyclic shortcut
+    this is an independent check of the reduction.  On a Cayley spec
     every vertex has in-weight W, so (I - A^t) 1 = (1 - W) 1 and the order
     of [1] divides W - 1.  On a cyclic spec a nonzero det has the sign of
     the parity rule.  These two cost O(|S|) and share nothing with the

@@ -1,16 +1,25 @@
 import random
-from itertools import product
+from itertools import permutations, product
 from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k0lab.graphs import CayleySpec, build_cayley, build_complete_graph, k_cycle
+import k0lab.zmatrix
+from k0lab.graphs import (
+    CayleySpec,
+    DirectedMultigraph,
+    build_cayley,
+    build_complete_graph,
+    k_cycle,
+)
+from k0lab.k0 import _companion_presentation, companion_matrix
 from k0lab.zmatrix import (
     FinAbGroup,
     IntMatrix,
     MatrixFormatError,
+    _bareiss,
     _invariant_factors,
     cokernel,
     cokernel_with_class,
@@ -23,7 +32,7 @@ from k0lab.zmatrix import (
 )
 
 from conftest import random_matrix, random_unimodular
-from oracle import lattice_membership, snf_via_determinant_divisors
+from oracle import det_via_cofactor, lattice_membership, snf_via_determinant_divisors
 
 T6_MINUS_I = IntMatrix.from_rows([[0, 1, 2], [2, 1, 3], [1, 2, 1]])
 
@@ -126,6 +135,144 @@ class TestDet:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
             det(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+
+
+def _chorded_cycle(rng: random.Random, v: int, sink: bool) -> DirectedMultigraph:
+    """A Hamiltonian cycle on v vertices plus v/2 random edges of multiplicity 1-2.
+
+    With ``sink`` one more vertex receives one or two edges and sends none.
+    """
+    size = v + 1 if sink else v
+    adj = [[0] * size for _ in range(size)]
+    order = list(range(v))
+    rng.shuffle(order)
+    for a, b in zip(order, order[1:] + order[:1]):
+        adj[a][b] += 1
+    for _ in range(v // 2):
+        adj[rng.randrange(v)][rng.randrange(v)] += rng.randint(1, 2)
+    if sink:
+        for _ in range(rng.randint(1, 2)):
+            adj[rng.randrange(v)][v] += 1
+    return DirectedMultigraph(tuple(tuple(row) for row in adj))
+
+
+def _sparse_corpus() -> list[IntMatrix]:
+    """I - A^t of dihedral specs and chorded multigraphs, and companion P's."""
+    mats = [build_cayley(CayleySpec.dihedral(n)).i_minus_at() for n in range(3, 61)]
+    rng = random.Random(20011)
+    for v in range(40, 119, 6):
+        mats.append(_chorded_cycle(rng, v, sink=v % 4 == 0).i_minus_at())
+    for n, gens, weights in [
+        (48, [1, 5], [1, 2]),
+        (64, [2, 3], [1, 1]),
+        (81, [1, 2, 7], [1, 1, 1]),
+        (100, [3, 8], [2, 1]),
+        (128, [1, 4, 6], [1, 1, 3]),
+    ]:
+        spec = CayleySpec.cyclic(n, gens, weights)
+        mats.append(_companion_presentation(companion_matrix(spec).char_poly, n)[0])
+    return mats
+
+
+@st.composite
+def _small_square(draw) -> IntMatrix:
+    """n <= 6 at a drawn density, entries in -2..3 or all ±1, with zero or
+    repeated lines mixed in."""
+    n = draw(st.integers(1, 6))
+    density = draw(st.integers(0, 4))
+    units = draw(st.booleans())
+    values = st.sampled_from([-1, 1]) if units else st.integers(-2, 3)
+    rows = [
+        [draw(values) if draw(st.integers(1, 4)) <= density else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+    shape = draw(st.sampled_from(["plain", "zero_row", "zero_col", "repeat_row"]))
+    k = draw(st.integers(0, n - 1))
+    if shape == "zero_row":
+        rows[k] = [0] * n
+    elif shape == "zero_col":
+        for row in rows:
+            row[k] = 0
+    elif shape == "repeat_row" and n > 1:
+        rows[k] = list(rows[(k + 1) % n])
+    return IntMatrix.from_rows(rows)
+
+
+class TestSparseDet:
+    """det eliminates ±1 pivots sparsely, then runs Bareiss on the remainder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_small_square())
+    def test_hypothesis_against_cofactor(self, m):
+        assert det(m) == det_via_cofactor(m)
+
+    def test_sparse_corpus_against_whole_bareiss(self):
+        for m in _sparse_corpus():
+            assert det(m) == _bareiss(m.to_lists()), m.rows
+
+    def test_independent_of_the_smith_core(self, monkeypatch):
+        mats = _sparse_corpus()
+        expected = [det(m) for m in mats]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("det must not run the Smith elimination")
+
+        monkeypatch.setattr(k0lab.zmatrix, "_diagonalize", refuse)
+        assert [det(m) for m in mats] == expected
+
+    def _remainders(self, monkeypatch, m: IntMatrix) -> list[int]:
+        sizes = []
+
+        def record(a):
+            sizes.append(len(a))
+            return _bareiss(a)
+
+        monkeypatch.setattr(k0lab.zmatrix, "_bareiss", record)
+        det(m)
+        return sizes
+
+    def test_sparse_input_leaves_a_small_remainder(self, monkeypatch):
+        dihedral = build_cayley(CayleySpec.dihedral(60)).i_minus_at()
+        graph = _chorded_cycle(random.Random(118), 118, sink=False).i_minus_at()
+        for m in (dihedral, graph):
+            sizes = self._remainders(monkeypatch, m)
+            assert len(sizes) == 1 and sizes[0] <= 8, (m.rows, sizes)
+
+    def test_dense_input_reaches_bareiss_whole(self, monkeypatch, rng):
+        # With every entry nonzero a ±1 pivot costs 39 * 39, twice a Bareiss step.
+        m = IntMatrix.from_rows([[rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for _ in range(40)]
+                                 for _ in range(40)])
+        assert self._remainders(monkeypatch, m) == [40]
+        # A zero in about one entry in nine lets a stray ±1 pivot pass now and then.
+        for n in range(16, 41):
+            m = random_matrix(rng, n, n)
+            assert self._remainders(monkeypatch, m)[-1] >= n - 1
+            assert det(m) == _bareiss(m.to_lists())
+
+    def test_one_by_one(self):
+        for x in (-3, -1, 0, 1, 7):
+            assert det(IntMatrix.from_rows([[x]])) == x
+
+    def test_zero_column(self):
+        m = IntMatrix.from_rows([[1, 0, 2], [-1, 0, 1], [3, 0, 1]])
+        assert det(m) == 0
+
+    def test_unimodular_by_unit_pivots(self, monkeypatch):
+        # Every pivot is ±1, so only a 1 x 1 block reaches Bareiss.
+        m = IntMatrix.from_rows([[1, 1, 0, -1], [0, -1, 1, 0], [1, 1, 1, -1], [0, 0, 0, 1]])
+        assert det(m) == det_via_cofactor(m) == -1
+        assert self._remainders(monkeypatch, m) == [1]
+
+    def test_signed_permutations(self):
+        rng = random.Random(3)
+        for n in range(1, 6):
+            for perm in permutations(range(n)):
+                signs = [rng.choice([-1, 1]) for _ in range(n)]
+                m = IntMatrix.from_rows(
+                    [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+                )
+                inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+                assert det(m) == (-1) ** inversions * prod(signs), (perm, signs)
 
 
 class TestRank:
