@@ -64,14 +64,14 @@ class IntPolynomial:
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             a[i] += c
-        return IntPolynomial.of(a)
+        return _trimmed(a)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             a[i] -= c
-        return IntPolynomial.of(a)
+        return _trimmed(a)
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))
@@ -84,7 +84,7 @@ class IntPolynomial:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPolynomial.of(out)
+        return _trimmed(out)
 
     def scale(self, k: int) -> "IntPolynomial":
         if k == 0:
@@ -103,15 +103,26 @@ class IntPolynomial:
         zero remainder certifies divisibility over Z (the divisors used
         here are monic, where the division always succeeds).
         """
+        q: list[int] = []
+        rem = self._long_division(divisor, q)
+        return _trimmed(q), rem
+
+    def __mod__(self, divisor: "IntPolynomial") -> "IntPolynomial":
+        """The remainder of ``divmod_by``, without building the quotient."""
+        return self._long_division(divisor, None)
+
+    def _long_division(self, divisor: "IntPolynomial", q: list[int] | None) -> "IntPolynomial":
+        """Remainder of self by divisor; the quotient coefficients go into q when given."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
         dcoeffs = divisor.coeffs
         dn = len(dcoeffs)
+        if len(self.coeffs) < dn:
+            return self
+        rem = list(self.coeffs)
         lead = dcoeffs[-1]
-        if len(rem) < dn:
-            return IntPolynomial(), self
-        q = [0] * (len(rem) - dn + 1)
+        if q is not None:
+            q.extend([0] * (len(rem) - dn + 1))
         for shift in range(len(rem) - dn, -1, -1):
             c = rem[shift + dn - 1]
             if c == 0:
@@ -119,20 +130,20 @@ class IntPolynomial:
             if c % lead != 0:
                 raise ValueError("non-exact division over Z")
             f = c // lead
-            q[shift] = f
+            if q is not None:
+                q[shift] = f
             for i, d in enumerate(dcoeffs):
                 rem[shift + i] -= f * d
-        return IntPolynomial.of(q), IntPolynomial.of(rem)
+        return _trimmed(rem)
 
     def divides(self, other: "IntPolynomial") -> bool:
         """Exact divisibility self | other in Z[x] (self nonzero)."""
         if self.is_zero:
             raise ZeroDivisionError("zero polynomial divides nothing")
         try:
-            _, r = other.divmod_by(self)
+            return (other % self).is_zero
         except ValueError:
             return False
-        return r.is_zero
 
     def __call__(self, x: int) -> int:
         out = 0
@@ -158,6 +169,16 @@ class IntPolynomial:
                 else:
                     terms.append(f"{c}*{xk}")
         return " + ".join(terms).replace("+ -", "- ")
+
+
+def _trimmed(coeffs: list[int]) -> IntPolynomial:
+    """IntPolynomial from a list of ints the caller built, trailing zeros stripped.
+
+    Internal results need none of ``IntPolynomial.of``'s conversion.
+    """
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return IntPolynomial(tuple(coeffs))
 
 
 def x_pow_minus_one(n: int) -> IntPolynomial:

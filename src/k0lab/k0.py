@@ -95,16 +95,16 @@ def _companion_presentation(h: circ.IntPolynomial, n: int) -> tuple[IntMatrix, l
     one, x = circ.IntPolynomial.x_power(0), circ.IntPolynomial.x_power(1)
     power, total = one, circ.IntPolynomial()  # x^m and N(m) mod h, from m = 0
     for bit in bin(n)[2:]:
-        total = (total * (one + power)).divmod_by(h)[1]
-        power = (power * power).divmod_by(h)[1]
+        total = (total * (one + power)) % h
+        power = (power * power) % h
         if bit == "1":
-            total, power = total + power, (power * x).divmod_by(h)[1]
+            total, power = total + power, (power * x) % h
     columns = []
     for _ in range(sk):
         columns.append(power.coeffs + (0,) * (sk - len(power.coeffs)))
-        power = (power * x).divmod_by(h)[1]
+        power = (power * x) % h
     p = IntMatrix.from_rows([[c[i] - (i == j) for j, c in enumerate(columns)] for i in range(sk)])
-    g = (total * circ.IntPolynomial.x_power(sk - 1)).divmod_by(h)[1].coeffs
+    g = ((total * circ.IntPolynomial.x_power(sk - 1)) % h).coeffs
     return p, list(g) + [0] * (sk - len(g))
 
 

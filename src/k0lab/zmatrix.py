@@ -1,17 +1,20 @@
 """Exact integer matrix arithmetic.
 
 Everything here works with arbitrary-precision Python ints: Smith
-diagonals (a diagonalizing elimination, then a gcd/lcm pass that chains
-the diagonal), determinants (sparse ±1 pivots in Markowitz order, then
+diagonals (sparse ±1 pivots in Markowitz order, a diagonalizing
+elimination of the dense remainder, then a gcd/lcm pass that chains the
+diagonal), determinants (sparse ±1 pivots in Markowitz order, then
 fraction-free Bareiss elimination on the dense remainder), rank, matrix
 powers, and cokernels presented as finitely generated abelian groups in
-invariant-factor form.
+invariant-factor form.  The two sparse phases are written separately and
+share no function, so det stays an independent witness of the Smith form.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul as _int_mul
 from typing import Iterable, Sequence
@@ -241,6 +244,126 @@ def _diagonalize(a: list[list[int]], cols: int) -> None:
             pos = _min_abs_pivot(a, t, rows, cols) if dirty else None
 
 
+def _unit_pivots(
+    a: list[list[int]], cols: int, vec: Sequence[int] | None
+) -> tuple[int, list[list[int]], int]:
+    """Take ±1 pivots of the rows a in Markowitz order; return what is left.
+
+    The rows are held as dicts (column -> value) with one support set per
+    column.  A heap yields the ±1 entry p of least Markowitz cost
+    (nnz(row) - 1)(nnz(col) - 1); its cost is recomputed when popped and
+    pushed back if it rose, and the ±1 entries that fill-in creates are
+    pushed as they appear.  Costs that fell are not pushed again, so before
+    stopping the heap is rebuilt once at current costs.  As p^-1 = p, exact
+    row operations clear p's column, and column operations, which no
+    passenger sees, then clear its row: the pivot adds a unit to the raw
+    diagonal and drops out.  The phase stops when no ±1 entry is left or
+    the best one costs as much as a dense step, 2 * cost >= (r - 1)(c - 1)
+    on the live r x c block.
+
+    Returns (units, rest, rest_cols): the number of pivots taken, the rows
+    of the Schur complement left, each with its passenger (the matching
+    coordinate of u*vec) appended when vec is given, and their column
+    count.  Input with no ±1 entry, or so dense that no pivot could pass,
+    is returned whole without building a dict.
+    """
+    rows = len(a)
+    if not any(1 in row or -1 in row for row in a) or _too_dense(a, rows, cols):
+        if vec is not None:
+            for row, x in zip(a, vec):
+                row.append(x)
+        return 0, a, cols
+
+    sparse: list[dict[int, int] | None] = [{j: x for j, x in enumerate(row) if x} for row in a]
+    support: list[set[int] | None] = [set() for _ in range(cols)]
+    for i, row in enumerate(sparse):
+        for j in row:
+            support[j].add(i)
+    w = list(vec) if vec is not None else None
+    live_rows, live_cols = rows, cols
+    heap: list[tuple[int, int, int]] = []
+    exact = False
+    while True:
+        if not heap:
+            if exact:
+                break
+            heap = [
+                ((len(row) - 1) * (len(support[j]) - 1), i, j)
+                for i, row in enumerate(sparse)
+                if row is not None
+                for j, x in row.items()
+                if x == 1 or x == -1
+            ]
+            heapify(heap)
+            exact = True
+            continue
+        cost, pi, pj = heappop(heap)
+        prow = sparse[pi]
+        if prow is None:
+            continue
+        p = prow.get(pj)
+        if p != 1 and p != -1:
+            continue
+        fresh = (len(prow) - 1) * (len(support[pj]) - 1)
+        if fresh > cost:
+            heappush(heap, (fresh, pi, pj))
+            continue
+        if 2 * fresh >= (live_rows - 1) * (live_cols - 1):
+            if exact:
+                break
+            heap = []
+            continue
+        exact = False
+        live_rows -= 1
+        live_cols -= 1
+        sparse[pi] = None
+        del prow[pj]
+        for c in prow:
+            support[c].discard(pi)
+        others = support[pj]
+        support[pj] = None
+        others.discard(pi)
+        for k in others:
+            rk = sparse[k]
+            f = rk.pop(pj) * p
+            if w is not None:
+                w[k] -= f * w[pi]
+            for c, x in prow.items():
+                y = rk.get(c)
+                if y is None:
+                    rk[c] = y = -f * x
+                    support[c].add(k)
+                else:
+                    y -= f * x
+                    if not y:
+                        del rk[c]
+                        support[c].discard(k)
+                        continue
+                    rk[c] = y
+                if y == 1 or y == -1:
+                    heappush(heap, ((len(rk) - 1) * (len(support[c]) - 1), k, c))
+    keep = [j for j in range(cols) if support[j] is not None]
+    rest = []
+    for i, row in enumerate(sparse):
+        if row is not None:
+            line = [row.get(j, 0) for j in keep]
+            if w is not None:
+                line.append(w[i])
+            rest.append(line)
+    return rows - live_rows, rest, len(keep)
+
+
+def _too_dense(a: list[list[int]], rows: int, cols: int) -> bool:
+    """Whether no ±1 pivot of a could pass 2 * cost < (rows - 1)(cols - 1).
+
+    The sparsest nonzero row and column bound every pivot's cost from
+    below; they are counted at C speed, before any dict is built.
+    """
+    row_min = min(n for n in (cols - row.count(0) for row in a) if n)
+    col_min = min(n for n in (rows - col.count(0) for col in zip(*a)) if n)
+    return 2 * (row_min - 1) * (col_min - 1) >= (rows - 1) * (cols - 1)
+
+
 def _invariant_factors(diag: Sequence[int]) -> tuple[int, ...]:
     """Smith diagonal of a diagonal matrix: units first, then the chain, zeros last.
 
@@ -286,16 +409,18 @@ def cokernel_with_class(
     (u*vec)_i).  This holds for any diagonal, chained or not, so the raw one
     is read, not the invariant factors.  A zero s_i or surplus row against
     a nonzero coordinate makes the order infinite.
+
+    ``_unit_pivots`` first takes ±1 pivots from sparse rows, each adding a
+    unit to the raw diagonal, and ``_diagonalize`` reduces the Schur
+    complement left; a unit s_i divides every coordinate, so only the
+    remainder's rows bear on the order.
     """
     if vec is not None and len(vec) != m.rows:
         raise ValueError("vector length must equal rows")
-    a = m.to_lists()
-    if vec is not None:
-        for row, x in zip(a, vec):
-            row.append(x)
-    _diagonalize(a, m.cols)
-    raw = [a[i][i] for i in range(min(m.rows, m.cols))]
-    diag = _invariant_factors(raw)
+    units, a, cols = _unit_pivots(m.to_lists(), m.cols, vec)
+    _diagonalize(a, cols)
+    raw = [a[i][i] for i in range(min(len(a), cols))]
+    diag = _invariant_factors([1] * units + raw)
     group = FinAbGroup.from_invariants(diag, free_rank=m.rows - len(diag))
     if vec is None:
         return diag, group, None
@@ -321,7 +446,8 @@ def det(m: IntMatrix) -> int:
 
     I - A^t has a few nonzeros per row, nearly all ±1.  Phase 1 holds the
     rows as sparse dicts and takes the ±1 entry p of least Markowitz cost
-    (nnz(row) - 1)(nnz(col) - 1).  As p^-1 = p, clearing its column from the
+    (nnz(row) - 1)(nnz(col) - 1) from a heap that is updated as pivots
+    change the costs.  As p^-1 = p, clearing its column from the
     other rows is exact, and expanding along that column multiplies the
     determinant by p and by the parity of the pivot's position among the
     live rows and columns.  Phase 1 stops when no ±1 entry is left or the
@@ -344,7 +470,7 @@ def det(m: IntMatrix) -> int:
     if 2 * (min(row_counts) - 1) * (min(col_counts) - 1) >= (n - 1) ** 2:
         return _bareiss(a)
 
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    rows: list[dict[int, int] | None] = [{j: x for j, x in enumerate(row) if x} for row in a]
     cols: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -352,31 +478,50 @@ def det(m: IntMatrix) -> int:
     live_rows = list(range(n))
     live_cols = list(range(n))
     sign = 1
+    # Pivots come from a heap of (cost, row, column); a popped cost is
+    # recomputed and pushed back if it rose.  Each row a pivot updates has
+    # its ±1 entries pushed again at their new cost, which may have fallen;
+    # entries whose column lost a row are not, so before stopping the heap
+    # is rebuilt once at current costs.
+    queue: list[tuple[int, int, int]] = []
+    exact = False
     while True:
-        # A pivot passes while 2 * cost < (r - 1)^2, r the number of live rows.
-        best_cost = ((len(live_rows) - 1) ** 2 + 1) // 2
-        best = None
-        for i in live_rows:
-            row = rows[i]
-            fan = len(row) - 1
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    cost = fan * (len(cols[j]) - 1)
-                    if cost < best_cost:
-                        best, best_cost = (i, j, x), cost
-                        if not cost:
-                            break
-            if not best_cost:
+        if not queue:
+            if exact:
                 break
-        if best is None:
-            break
-        pi, pj, p = best
+            queue = [
+                ((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j)
+                for i in live_rows
+                for j, x in rows[i].items()
+                if x == 1 or x == -1
+            ]
+            heapify(queue)
+            exact = True
+            continue
+        cost, pi, pj = heappop(queue)
+        prow = rows[pi]
+        if prow is None:
+            continue
+        p = prow.get(pj)
+        if p != 1 and p != -1:
+            continue
+        fresh = (len(prow) - 1) * (len(cols[pj]) - 1)
+        if fresh > cost:
+            heappush(queue, (fresh, pi, pj))
+            continue
+        # A pivot passes while 2 * cost < (r - 1)^2, r the number of live rows.
+        if 2 * fresh >= (len(live_rows) - 1) ** 2:
+            if exact:
+                break
+            queue = []
+            continue
+        exact = False
         ri = bisect_left(live_rows, pi)
         del live_rows[ri]
         rj = bisect_left(live_cols, pj)
         del live_cols[rj]
         sign *= -p if (ri + rj) & 1 else p
-        prow = rows[pi]
+        rows[pi] = None
         del prow[pj]
         for c in prow:
             cols[c].discard(pi)
@@ -399,6 +544,10 @@ def det(m: IntMatrix) -> int:
                         cols[c].discard(k)
             if not rk:
                 return 0
+            fan = len(rk) - 1
+            for c, y in rk.items():
+                if y == 1 or y == -1:
+                    heappush(queue, (fan * (len(cols[c]) - 1), k, c))
     rest = [[rows[i].get(c, 0) for c in live_cols] for i in live_rows]
     return sign * _bareiss(rest)
 

@@ -1,12 +1,13 @@
 import random
-from itertools import permutations, product
-from math import prod
+from itertools import combinations, permutations, product
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import k0lab.zmatrix
+from k0lab.circulant import divisors
 from k0lab.graphs import (
     CayleySpec,
     DirectedMultigraph,
@@ -20,6 +21,7 @@ from k0lab.zmatrix import (
     IntMatrix,
     MatrixFormatError,
     _bareiss,
+    _diagonalize,
     _invariant_factors,
     cokernel,
     cokernel_with_class,
@@ -273,6 +275,172 @@ class TestSparseDet:
                 )
                 inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
                 assert det(m) == (-1) ** inversions * prod(signs), (perm, signs)
+
+
+def _diag_by_minors(m: IntMatrix) -> tuple[int, ...]:
+    """Smith diagonal of any m from determinantal divisors: the oracle's own
+    function on a nonsingular square matrix; otherwise gcds of the k x k
+    minors (by cofactor expansion) up to the rank, then zeros."""
+    if m.is_square and det_via_cofactor(m) != 0:
+        return snf_via_determinant_divisors(m)
+    alphas = [1]
+    for k in range(1, min(m.rows, m.cols) + 1):
+        g = 0
+        for rsel in combinations(range(m.rows), k):
+            for csel in combinations(range(m.cols), k):
+                g = gcd(g, det_via_cofactor(IntMatrix.from_rows([[m.at(i, j) for j in csel]
+                                                                 for i in rsel])))
+        if g == 0:
+            break
+        alphas.append(g)
+    rank = len(alphas) - 1
+    return (tuple(alphas[k] // alphas[k - 1] for k in range(1, rank + 1))
+            + (0,) * (min(m.rows, m.cols) - rank))
+
+
+def _order_by_membership(m: IntMatrix, vec, diag) -> int | None:
+    """Order of [vec] by lattice membership: a finite order divides the largest
+    invariant factor, the exponent of the torsion."""
+    exponent = max((d for d in diag if d), default=1)
+    if not lattice_membership(m, vec, exponent):
+        return None
+    return next(d for d in divisors(exponent) if lattice_membership(m, vec, d))
+
+
+def _whole_matrix_reference(m: IntMatrix, vec):
+    """cokernel_with_class with no sparse phase: the whole matrix, with its
+    class column, through _diagonalize, then _invariant_factors."""
+    a = m.to_lists()
+    if vec is not None:
+        for row, x in zip(a, vec):
+            row.append(x)
+    _diagonalize(a, m.cols)
+    raw = [a[i][i] for i in range(min(m.rows, m.cols))]
+    diag = _invariant_factors(raw)
+    group = FinAbGroup.from_invariants(diag, free_rank=m.rows - len(diag))
+    if vec is None:
+        return diag, group, None
+    order = 1
+    for i, row in enumerate(a):
+        s = raw[i] if i < len(raw) else 0
+        if s == 0:
+            if row[-1] != 0:
+                return diag, group, None
+        else:
+            order = lcm(order, s // gcd(s, row[-1]))
+    return diag, group, order
+
+
+@st.composite
+def _sparse_with_class(draw):
+    """Up to 6 x 6 of any shape, ±1-heavy at a drawn density, with a zero row
+    or column mixed in, and a class vector or none."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    density = draw(st.integers(1, 4))
+    values = st.sampled_from([-1, 1, -1, 1, -1, 1, -2, 2, 3])
+    entries = [
+        [draw(values) if draw(st.integers(1, 4)) <= density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    shape = draw(st.sampled_from(["plain", "zero_row", "zero_col"]))
+    if shape == "zero_row":
+        entries[draw(st.integers(0, rows - 1))] = [0] * cols
+    elif shape == "zero_col":
+        k = draw(st.integers(0, cols - 1))
+        for row in entries:
+            row[k] = 0
+    vec = draw(st.none() | st.lists(st.integers(-3, 3), min_size=rows, max_size=rows))
+    return IntMatrix.from_rows(entries), vec
+
+
+def _smith_corpus() -> list[IntMatrix]:
+    """The det corpus, and I - A^t of cyclic specs with 0 in S: w_0 = 1 leaves a
+    zero diagonal, w_0 = 2 a unit one, w_0 = 3 no ±1 entry at all."""
+    mats = _sparse_corpus()
+    for n, gens, weights in [
+        (48, [0, 1, 5], [1, 1, 2]),
+        (64, [0, 3], [2, 1]),
+        (81, [0, 2, 7], [2, 2, 1]),
+        (100, [0, 3], [1, 2]),
+        (118, [0, 3], [3, 3]),
+        (128, [0, 1, 6], [1, 1, 3]),
+    ]:
+        mats.append(build_cayley(CayleySpec.cyclic(n, gens, weights)).i_minus_at())
+    return mats
+
+
+class TestSparseSmith:
+    """cokernel_with_class takes ±1 pivots sparsely, then diagonalizes the remainder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sparse_with_class())
+    def test_hypothesis_against_determinant_divisors(self, case):
+        m, vec = case
+        expected = _diag_by_minors(m)
+        diag, group, order = cokernel_with_class(m, vec)
+        assert diag == expected
+        assert group == FinAbGroup.from_invariants(expected, free_rank=m.rows - len(expected))
+        assert order == (None if vec is None else _order_by_membership(m, vec, expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sparse_with_class())
+    def test_hypothesis_against_whole_matrix(self, case):
+        m, vec = case
+        assert cokernel_with_class(m, vec) == _whole_matrix_reference(m, vec)
+
+    def test_corpus_against_whole_matrix(self):
+        for m in _smith_corpus():
+            ones = [1] * m.rows
+            assert cokernel_with_class(m, ones) == _whole_matrix_reference(m, ones), m.rows
+            assert cokernel_with_class(m) == _whole_matrix_reference(m, None), m.rows
+
+    def _remainders(self, monkeypatch, m: IntMatrix) -> list[int]:
+        sizes = []
+
+        def record(a, cols):
+            sizes.append(len(a))
+            return _diagonalize(a, cols)
+
+        monkeypatch.setattr(k0lab.zmatrix, "_diagonalize", record)
+        cokernel_with_class(m, [1] * m.rows)
+        return sizes
+
+    def test_sparse_input_leaves_a_small_remainder(self, monkeypatch):
+        dihedral = build_cayley(CayleySpec.dihedral(60)).i_minus_at()
+        graph = _chorded_cycle(random.Random(118), 118, sink=False).i_minus_at()
+        for m in (dihedral, graph):
+            sizes = self._remainders(monkeypatch, m)
+            assert len(sizes) == 1 and sizes[0] <= 8, (m.rows, sizes)
+
+    def test_dense_input_reaches_diagonalize_whole(self, monkeypatch, rng):
+        m = IntMatrix.from_rows([[rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for _ in range(40)]
+                                 for _ in range(40)])
+        assert self._remainders(monkeypatch, m) == [40]
+        # No ±1 entry at all: 0 in S with weight 3 puts -2 on the diagonal.
+        m = build_cayley(CayleySpec.cyclic(118, [0, 3], [3, 3])).i_minus_at()
+        assert self._remainders(monkeypatch, m) == [118]
+
+    def test_independent_of_det(self, monkeypatch):
+        mats = _smith_corpus()
+        expected = [cokernel_with_class(m, [1] * m.rows) for m in mats]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Smith core must not run det's elimination")
+
+        monkeypatch.setattr(k0lab.zmatrix, "det", refuse)
+        monkeypatch.setattr(k0lab.zmatrix, "_bareiss", refuse)
+        assert [cokernel_with_class(m, [1] * m.rows) for m in mats] == expected
+
+    def test_det_runs_without_the_smith_core(self, monkeypatch):
+        mats = _sparse_corpus()
+        expected = [det(m) for m in mats]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("det must not run the Smith elimination")
+
+        monkeypatch.setattr(k0lab.zmatrix, "_unit_pivots", refuse)
+        monkeypatch.setattr(k0lab.zmatrix, "_diagonalize", refuse)
+        assert [det(m) for m in mats] == expected
 
 
 class TestRank:
