@@ -23,12 +23,11 @@ from .errors import (
 from .graphs import (
     CayleySpec,
     DirectedMultigraph,
+    CyclicGroup,
+    DihedralGroup,
     FiniteGroupTable,
     build_cayley,
     build_complete_graph,
-    build_cyclic_group,
-    build_dihedral_group,
-    cayley_is_pis,
     in_split,
     is_purely_infinite_simple,
     is_strongly_connected,
@@ -41,8 +40,6 @@ from .k0 import (
     closed_form_S01,
     companion_matrix,
     f_sequence,
-    k0_via_companion,
-    k0_via_full_snf,
     verify_Tn_structure,
 )
 from .circulant import (

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import GroupTableError, InvalidSpecError, NotGeneratingError
+from .errors import GroupTableError, InvalidSpecError
 from .zmatrix import IntMatrix
 
 
@@ -95,13 +95,13 @@ class DirectedMultigraph:
 
 @dataclass(frozen=True)
 class FiniteGroupTable:
-    """Finite group as a multiplication table of element indices."""
+    """Finite group as a multiplication table of element indices; element 0 is e."""
 
     order: int
     mul: tuple[tuple[int, ...], ...]
-    identity: int = 0
-    kind: str = "table"
-    labels: tuple[str, ...] | None = None
+
+    kind = "table"
+    identity = 0
 
     def __post_init__(self):
         if self.order < 1:
@@ -134,48 +134,67 @@ class FiniteGroupTable:
                         raise InvalidSpecError(f"associativity fails at ({a},{b},{c})")
 
     def label(self, g: int) -> str:
-        if self.labels is not None:
-            return self.labels[g]
         return str(g)
 
 
-def build_cyclic_group(n: int) -> FiniteGroupTable:
+@dataclass(frozen=True)
+class CyclicGroup:
     """Z_n under addition; element i is the residue i."""
-    if n < 1:
-        raise InvalidSpecError("cyclic group order must be positive")
-    mul = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return FiniteGroupTable(n, mul, identity=0, kind="cyclic", labels=tuple(str(i) for i in range(n)))
+
+    n: int
+
+    kind = "cyclic"
+    identity = 0
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise InvalidSpecError("cyclic group order must be positive")
+
+    @property
+    def order(self) -> int:
+        return self.n
+
+    def product(self, a: int, b: int) -> int:
+        return (a + b) % self.n
+
+    def label(self, g: int) -> str:
+        return str(g)
 
 
-def build_dihedral_group(n: int) -> tuple[FiniteGroupTable, int, int]:
+@dataclass(frozen=True)
+class DihedralGroup:
     """Dihedral group <r, s | r^n = s^2 = e, rsr = s> of order 2n.
 
-    Element k < n is r^k; element n + k is r^k s.  Returns the table with
-    the indices of r and s so callers can form the generating set {r, s}.
+    Element x*n + k is r^k s^x, so k < n is the rotation r^k and n + k the
+    reflection r^k s.  The product is r^i s^x * r^j s^y = r^(i + (-1)^x j) s^(x xor y).
     """
-    if n < 1:
-        raise InvalidSpecError("dihedral parameter must be positive")
-    size = 2 * n
-    mul = [[0] * size for _ in range(size)]
-    for a in range(n):
-        for b in range(n):
-            mul[a][b] = (a + b) % n  # r^a r^b
-            mul[a][n + b] = n + (a + b) % n  # r^a (r^b s) = r^(a+b) s
-            mul[n + a][b] = n + (a - b) % n  # (r^a s) r^b = r^(a-b) s
-            mul[n + a][n + b] = (a - b) % n  # (r^a s)(r^b s) = r^(a-b)
-    labels = tuple(
-        ("e" if k == 0 else "r" if k == 1 else f"r^{k}") for k in range(n)
-    ) + tuple(("s" if k == 0 else f"r^{k}s") for k in range(n))
-    table = FiniteGroupTable(
-        size,
-        tuple(tuple(row) for row in mul),
-        identity=0,
-        kind="dihedral",
-        labels=labels,
-    )
-    r_index = 1 % n  # n = 1 collapses r to the identity
-    s_index = n
-    return table, r_index, s_index
+
+    n: int
+
+    kind = "dihedral"
+    identity = 0
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise InvalidSpecError("dihedral parameter must be positive")
+
+    @property
+    def order(self) -> int:
+        return 2 * self.n
+
+    def product(self, a: int, b: int) -> int:
+        x, i = divmod(a, self.n)
+        y, j = divmod(b, self.n)
+        return (x ^ y) * self.n + (i - j if x else i + j) % self.n
+
+    def label(self, g: int) -> str:
+        x, k = divmod(g, self.n)
+        if x:
+            return "s" if k == 0 else f"r^{k}s"
+        return "e" if k == 0 else "r" if k == 1 else f"r^{k}"
+
+
+Group = FiniteGroupTable | CyclicGroup | DihedralGroup
 
 
 def read_group_table(text: str) -> FiniteGroupTable:
@@ -209,15 +228,17 @@ def read_group_table(text: str) -> FiniteGroupTable:
         rows.append(row)
     if len(rows) != order:
         raise GroupTableError(f"expected {order} table rows, found {len(rows)}", lineno + 1)
-    table = FiniteGroupTable(order, tuple(rows), identity=0)
+    table = FiniteGroupTable(order, tuple(rows))
     table.validate()
     return table
 
 
-def write_group_table(table: FiniteGroupTable) -> str:
-    lines = [str(table.order)]
-    for row in table.mul:
-        lines.append(" ".join(str(x) for x in row))
+def write_group_table(group: Group) -> str:
+    """The group-table text format of any group, from its product."""
+    n = group.order
+    lines = [str(n)]
+    for a in range(n):
+        lines.append(" ".join(str(group.product(a, b)) for b in range(n)))
     return "\n".join(lines) + "\n"
 
 
@@ -225,7 +246,7 @@ def write_group_table(table: FiniteGroupTable) -> str:
 class CayleySpec:
     """A finite group with an ordered generating set and positive weights."""
 
-    group: FiniteGroupTable
+    group: Group
     gens: tuple[int, ...]
     weights: tuple[int, ...]
 
@@ -246,8 +267,7 @@ class CayleySpec:
     @classmethod
     def cyclic(cls, n: int, gens: Sequence[int], weights: Sequence[int] | None = None) -> "CayleySpec":
         """Spec over Z_n; generators are reduced mod n and must stay distinct."""
-        if n < 1:
-            raise InvalidSpecError("cyclic group order must be positive")
+        group = CyclicGroup(n)
         if weights is None:
             weights = [1] * len(gens)
         if len(weights) != len(gens):
@@ -257,7 +277,7 @@ class CayleySpec:
             raise InvalidSpecError("generators coincide after reduction mod n")
         pairs = sorted(zip(reduced, (int(w) for w in weights)))
         return cls(
-            build_cyclic_group(n),
+            group,
             tuple(p[0] for p in pairs),
             tuple(p[1] for p in pairs),
         )
@@ -269,11 +289,11 @@ class CayleySpec:
 
     @classmethod
     def dihedral(cls, n: int) -> "CayleySpec":
-        """The dihedral group with its usual generating set {r, s}, unweighted."""
-        table, r, s = build_dihedral_group(n)
-        if r == s:
-            raise InvalidSpecError("dihedral generators collapse")
-        return cls(table, (r, s), (1, 1))
+        """The dihedral group with its usual generating set {r, s}, unweighted.
+
+        r is element 1 % n (the identity when n = 1) and s is element n.
+        """
+        return cls(DihedralGroup(n), (1 % n, n), (1, 1))
 
     @property
     def n(self) -> int:
@@ -290,13 +310,13 @@ class CayleySpec:
 
 def build_cayley(spec: CayleySpec) -> DirectedMultigraph:
     """Weighted Cayley graph: w(s) parallel edges g -> g*s per generator s."""
-    n = spec.group.order
+    group = spec.group
+    n = group.order
     adj = [[0] * n for _ in range(n)]
-    for g in range(n):
+    for g, row in enumerate(adj):
         for s, w in zip(spec.gens, spec.weights):
-            adj[g][spec.group.product(g, s)] += w
-    labels = tuple(spec.group.label(g) for g in range(n))
-    return DirectedMultigraph.from_rows(adj, labels)
+            row[group.product(g, s)] += w
+    return DirectedMultigraph(tuple(map(tuple, adj)), tuple(map(group.label, range(n))))
 
 
 def build_complete_graph(n: int, loops: int) -> DirectedMultigraph:
@@ -393,14 +413,6 @@ def is_purely_infinite_simple(g: DirectedMultigraph) -> bool:
         return False
     (core,) = cyclic
     return any(g.out_degree(v) >= 2 for v, c in enumerate(comp) if c == core)
-
-
-def cayley_is_pis(spec: CayleySpec) -> bool:
-    """Weight criterion: the Cayley algebra is purely infinite simple iff W >= 2."""
-    graph = build_cayley(spec)
-    if not is_strongly_connected(graph):
-        raise NotGeneratingError("generators do not generate: graph is not strongly connected")
-    return spec.total_weight >= 2
 
 
 Edge = tuple[int, int, int]

@@ -25,7 +25,6 @@ from .errors import (
     InternalCheckError,
     InvalidSpecError,
     NotGeneratingError,
-    NotPurelyInfiniteSimpleError,
 )
 from .graphs import (
     CayleySpec,
@@ -34,7 +33,8 @@ from .graphs import (
     is_purely_infinite_simple,
     is_strongly_connected,
 )
-from .zmatrix import FinAbGroup, IntMatrix, cokernel, cokernel_with_class, det
+# ``cokernel`` is not called here; it stays a module name that bench/tracer.py wraps.
+from .zmatrix import FinAbGroup, IntMatrix, cokernel, cokernel_with_class, det  # noqa: F401
 
 DEFAULT_CROSSCHECK_LIMIT = 24
 CROSSCHECK_ENV = "K0LAB_CROSSCHECK_LIMIT"
@@ -106,23 +106,6 @@ def _companion_presentation(h: circ.IntPolynomial, n: int) -> tuple[IntMatrix, l
     p = IntMatrix.from_rows([[c[i] - (i == j) for j, c in enumerate(columns)] for i in range(sk)])
     g = ((total * circ.IntPolynomial.x_power(sk - 1)) % h).coeffs
     return p, list(g) + [0] * (sk - len(g))
-
-
-def k0_via_companion(spec: CayleySpec) -> FinAbGroup:
-    """Cokernel of T^n - I computed on the s_k x s_k companion matrix."""
-    _require_generating(spec)
-    if spec.total_weight < 2:
-        raise InvalidSpecError("total weight must be at least 2")
-    return cokernel(_companion_presentation(companion_matrix(spec).char_poly, spec.n)[0])
-
-
-def k0_via_full_snf(g: DirectedMultigraph) -> FinAbGroup:
-    """Cokernel of I - A^t; valid only for purely infinite simple graphs."""
-    if not is_purely_infinite_simple(g):
-        raise NotPurelyInfiniteSimpleError(
-            "the cokernel formula requires a purely infinite simple graph"
-        )
-    return cokernel(g.i_minus_at())
 
 
 @dataclass(frozen=True)
@@ -221,11 +204,6 @@ def crosscheck_limit() -> int:
     return value
 
 
-def _detect_kind(spec: CayleySpec) -> str:
-    kind = spec.group.kind
-    return kind if kind in ("cyclic", "dihedral") else "table"
-
-
 def analyze(
     target: CayleySpec | DirectedMultigraph,
     method: str = "auto",
@@ -252,7 +230,7 @@ def analyze(
         # Cyclic generation is a gcd; only other groups need the graph for it.
         graph = None if spec.is_cyclic else build_cayley(spec)
         _require_generating(spec, graph)
-        kind = _detect_kind(spec)
+        kind = spec.group.kind
         total_weight = spec.total_weight
         pis = total_weight >= 2
         n = spec.n

@@ -64,11 +64,11 @@ class TestCayleyCommand:
         assert "snf diag: 1 1 7" in out
 
     def test_group_table_file(self, capsys, tmp_path):
-        from k0lab.graphs import build_dihedral_group, write_group_table
+        from k0lab.graphs import DihedralGroup, write_group_table
 
-        table, r, s = build_dihedral_group(8)
+        r, s = 1, 8
         table_file = tmp_path / "d8.grp"
-        table_file.write_text(write_group_table(table))
+        table_file.write_text(write_group_table(DihedralGroup(8)))
         code, out, _ = run_cli(capsys, "cayley", "--n", "16", "--group-table",
                                str(table_file), "--gens", f"{r},{s}")
         assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -9,12 +10,11 @@ from hypothesis import strategies as st
 from k0lab.errors import GroupTableError, InvalidSpecError, NotGeneratingError
 from k0lab.graphs import (
     CayleySpec,
+    CyclicGroup,
+    DihedralGroup,
     DirectedMultigraph,
     build_cayley,
     build_complete_graph,
-    build_cyclic_group,
-    build_dihedral_group,
-    cayley_is_pis,
     in_split,
     is_purely_infinite_simple,
     is_strongly_connected,
@@ -24,37 +24,44 @@ from k0lab.graphs import (
     singleton_partition,
     write_group_table,
 )
+from k0lab.k0 import analyze
 from k0lab.zmatrix import cokernel, det
 
 from oracle import every_cycle_has_exit, has_cycle, hereditary_saturated_closure, pis_by_closure
 
 
+def _round_trip(group):
+    """The group through the table format; the loader checks every group axiom."""
+    return read_group_table(write_group_table(group))
+
+
 class TestGroups:
     def test_cyclic_addition(self):
-        g = build_cyclic_group(6)
+        g = CyclicGroup(6)
         assert g.product(2, 3) == 5
         assert g.product(4, 5) == 3
-        g.validate()
+        _round_trip(g)
 
     def test_trivial_group(self):
-        g = build_cyclic_group(1)
+        g = CyclicGroup(1)
         assert g.order == 1 and g.product(0, 0) == 0
 
     def test_dihedral_relations(self):
-        table, r, s = build_dihedral_group(3)
+        table, r, s = DihedralGroup(3), 1, 3
         assert table.order == 6
         srs = table.product(table.product(s, r), s)
         rr = table.product(r, r)
         assert srs == rr  # s r s = r^{-1} = r^2
-        table.validate()
+        _round_trip(table)
 
     def test_dihedral_order_two(self):
-        table, r, s = build_dihedral_group(1)
+        spec = CayleySpec.dihedral(1)
+        table, (r, s) = spec.group, spec.gens
         assert table.order == 2
         assert r == table.identity
 
     def test_dihedral_four(self):
-        table, r, s = build_dihedral_group(4)
+        table, r, s = DihedralGroup(4), 1, 4
         r4 = table.identity
         for _ in range(4):
             r4 = table.product(r4, r)
@@ -63,9 +70,50 @@ class TestGroups:
         assert table.product(rs, rs) == table.identity
 
     def test_table_file_roundtrip(self):
-        table, _, _ = build_dihedral_group(3)
-        parsed = read_group_table(write_group_table(table))
-        assert parsed.mul == table.mul
+        table = DihedralGroup(3)
+        parsed = _round_trip(table)
+        assert all(
+            parsed.product(a, b) == table.product(a, b) for a in range(6) for b in range(6)
+        )
+
+    def test_small_groups_pass_the_table_loader(self):
+        # Latin square, two-sided identity and associativity through the
+        # loader's exhaustive check, then the defining relations of D_n.
+        for n in range(1, 13):
+            for group in (CyclicGroup(n), DihedralGroup(n)):
+                parsed = _round_trip(group)
+                assert parsed.order == group.order
+            d = DihedralGroup(n)
+            r, s, e = 1 % n, n, d.identity
+            power = e
+            for _ in range(n):
+                power = d.product(power, r)
+            assert power == e  # r^n = e
+            assert d.product(s, s) == e  # s^2 = e
+            r_inverse = next(g for g in range(n) if d.product(r, g) == e)
+            assert d.product(d.product(s, r), s) == r_inverse  # s r s = r^-1
+
+    def test_cayley_vertex_labels(self):
+        # Labels show only in to_dot; these literals are the labels the
+        # earlier table-built groups produced.
+        assert build_cayley(CayleySpec.dihedral(1)).vertex_labels == ("e", "s")
+        assert build_cayley(CayleySpec.dihedral(2)).vertex_labels == ("e", "r", "s", "r^1s")
+        assert build_cayley(CayleySpec.dihedral(3)).vertex_labels == (
+            "e", "r", "r^2", "s", "r^1s", "r^2s"
+        )
+        assert build_cayley(CayleySpec.cyclic(4, [1])).vertex_labels == ("0", "1", "2", "3")
+
+    def test_specs_build_no_table(self):
+        # A cyclic or dihedral spec is O(1) in memory; an n x n table at
+        # these sizes would take well over 100 MB.
+        for make in (lambda: CayleySpec.cyclic(2000, [2, 3]), lambda: CayleySpec.dihedral(1000)):
+            tracemalloc.start()
+            try:
+                make()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, peak
 
     def test_table_file_errors(self):
         with pytest.raises(GroupTableError) as exc:
@@ -211,7 +259,7 @@ class TestPredicates:
                     assert is_strongly_connected(build_cayley(spec)) == (gcd(n, *gens) == 1)
 
     def test_strongly_connected_dihedral_subgroup(self):
-        table, r, s = build_dihedral_group(4)
+        table, r, s = DihedralGroup(4), 1, 4
         rotations_only = CayleySpec(table, (r,), (1,))
         assert not is_strongly_connected(build_cayley(rotations_only))
         full = CayleySpec(table, (r, s), (1, 1))
@@ -276,18 +324,20 @@ class TestPisAgreesWithClosure:
 
 
 class TestCayleyIsPis:
+    """The W >= 2 shortcut that ``analyze`` takes for Cayley specs."""
+
     def test_weight_one_cycle(self):
-        assert not cayley_is_pis(CayleySpec.cyclic(5, [1]))
+        assert not analyze(CayleySpec.cyclic(5, [1])).pis
 
     def test_weight_three(self):
-        assert cayley_is_pis(CayleySpec.cyclic(5, [1], [3]))
+        assert analyze(CayleySpec.cyclic(5, [1], [3])).pis
 
     def test_dihedral(self):
-        assert cayley_is_pis(CayleySpec.dihedral(5))
+        assert analyze(CayleySpec.dihedral(5)).pis
 
     def test_non_generating_raises(self):
         with pytest.raises(NotGeneratingError):
-            cayley_is_pis(CayleySpec.cyclic(6, [2]))
+            analyze(CayleySpec.cyclic(6, [2]))
 
     def test_matches_graph_predicate_exhaustively(self):
         checked = 0
@@ -299,7 +349,7 @@ class TestCayleyIsPis:
                     for weights in itertools.product((1, 2, 3), repeat=size):
                         spec = CayleySpec.cyclic(n, gens, weights)
                         checked += 1
-                        assert cayley_is_pis(spec) == is_purely_infinite_simple(
+                        assert analyze(spec).pis == is_purely_infinite_simple(
                             build_cayley(spec)
                         ), (n, gens, weights)
         assert checked > 4000

@@ -14,7 +14,6 @@ from k0lab.errors import (
     InternalCheckError,
     InvalidSpecError,
     NotGeneratingError,
-    NotPurelyInfiniteSimpleError,
 )
 from k0lab.graphs import (
     CayleySpec,
@@ -31,8 +30,6 @@ from k0lab.k0 import (
     closed_form_S01,
     companion_matrix,
     f_sequence,
-    k0_via_companion,
-    k0_via_full_snf,
     verify_Tn_structure,
 )
 from k0lab.zmatrix import FinAbGroup, IntMatrix, cokernel, mat_pow
@@ -90,45 +87,53 @@ class TestCompanionMatrix:
         assert count > 4000
 
 
+def _companion_k0(spec):
+    return analyze(spec, method="companion").k0
+
+
+def _full_k0(target):
+    return analyze(target, method="full").k0
+
+
 class TestK0ViaCompanion:
     def test_c6_23(self):
-        assert k0_via_companion(C6_23) == FinAbGroup((7,))
+        assert _companion_k0(C6_23) == FinAbGroup((7,))
 
     def test_k_cycles(self):
         for n in (2, 3, 5):
             for w in (2, 3, 4):
                 spec = CayleySpec.cyclic(n, [1], [w])
-                assert k0_via_companion(spec) == FinAbGroup.from_invariants([w**n - 1])
+                assert _companion_k0(spec) == FinAbGroup.from_invariants([w**n - 1])
 
     def test_coprime_step(self):
         # S = {2} generates Z_5; the companion is 2x2 yet the answer matches
         spec = CayleySpec.cyclic(5, [2], [3])
-        assert k0_via_companion(spec) == FinAbGroup((3**5 - 1,))
+        assert _companion_k0(spec) == FinAbGroup((3**5 - 1,))
 
     def test_singular_pair(self):
-        assert k0_via_companion(CayleySpec.cyclic(6, [1, 5])) == FinAbGroup(free_rank=2)
+        assert _companion_k0(CayleySpec.cyclic(6, [1, 5])) == FinAbGroup(free_rank=2)
 
     def test_non_generating(self):
         with pytest.raises(NotGeneratingError):
-            k0_via_companion(CayleySpec.cyclic(6, [2, 4]))
+            _companion_k0(CayleySpec.cyclic(6, [2, 4]))
 
     def test_weight_one_rejected(self):
         with pytest.raises(InvalidSpecError):
-            k0_via_companion(CayleySpec.cyclic(5, [1]))
+            _companion_k0(CayleySpec.cyclic(5, [1]))
 
 
 class TestK0ViaFullSnf:
     def test_complete_graphs(self):
-        assert k0_via_full_snf(build_complete_graph(5, 1)) == FinAbGroup((4,))
-        assert k0_via_full_snf(build_complete_graph(4, 2)) == FinAbGroup(free_rank=3)
+        assert _full_k0(build_complete_graph(5, 1)) == FinAbGroup((4,))
+        assert _full_k0(build_complete_graph(4, 2)) == FinAbGroup(free_rank=3)
 
     def test_dihedral_nine(self):
         g = build_cayley(CayleySpec.dihedral(9))
-        assert k0_via_full_snf(g) == FinAbGroup((2, 2))
+        assert _full_k0(g) == FinAbGroup((2, 2))
 
     def test_not_pis_rejected(self):
-        with pytest.raises(NotPurelyInfiniteSimpleError):
-            k0_via_full_snf(k_cycle(4, 1))
+        report = analyze(k_cycle(4, 1), method="full")
+        assert report.pis is False and report.k0 is None
 
 
 class TestAnalyze:
@@ -436,9 +441,10 @@ class TestCompanionAgreesWithFull:
                     for weights in itertools.product((1, 2), repeat=size):
                         if sum(weights) < 2:
                             continue
-                        spec = CayleySpec.cyclic(n, gens, weights)
-                        full = k0_via_full_snf(build_cayley(spec))
-                        assert k0_via_companion(spec) == full, (n, gens, weights)
+                        # "both" raises InternalCheckError when the companion
+                        # K0 differs from the full Smith form's.
+                        report = analyze(CayleySpec.cyclic(n, gens, weights), method="both")
+                        assert report.method == "both" and report.k0 is not None
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_companion_method_matches_full(self, n):
