@@ -94,8 +94,8 @@ class TestGroups:
             assert d.product(d.product(s, r), s) == r_inverse  # s r s = r^-1
 
     def test_cayley_vertex_labels(self):
-        # Labels show only in to_dot; these literals are the labels the
-        # earlier table-built groups produced.
+        # Labels reach no text or JSON output, only to_dot, so no golden
+        # digest pins them.
         assert build_cayley(CayleySpec.dihedral(1)).vertex_labels == ("e", "s")
         assert build_cayley(CayleySpec.dihedral(2)).vertex_labels == ("e", "r", "s", "r^1s")
         assert build_cayley(CayleySpec.dihedral(3)).vertex_labels == (
@@ -104,8 +104,8 @@ class TestGroups:
         assert build_cayley(CayleySpec.cyclic(4, [1])).vertex_labels == ("0", "1", "2", "3")
 
     def test_specs_build_no_table(self):
-        # A cyclic or dihedral spec is O(1) in memory; an n x n table at
-        # these sizes would take well over 100 MB.
+        # A cyclic or dihedral spec is O(1) in memory; a multiplication
+        # table at these sizes would take well over 100 MB.
         for make in (lambda: CayleySpec.cyclic(2000, [2, 3]), lambda: CayleySpec.dihedral(1000)):
             tracemalloc.start()
             try:
