@@ -57,6 +57,7 @@ from .zmatrix import (
     FinAbGroup,
     IntMatrix,
     MatrixFormatError,
+    SparseIntMatrix,
     cokernel,
     cokernel_with_class,
     det,

@@ -222,7 +222,7 @@ def flow_equivalent(g1: DirectedMultigraph, g2: DirectedMultigraph) -> bool:
     """Flow equivalence for source-free purely infinite simple graphs:
     equal det(I - A) and isomorphic Coker(I - A)."""
     for g in (g1, g2):
-        if any(g.in_degree(v) == 0 for v in range(g.vertex_count)):
+        if len(set().union(*g.out_rows)) != g.vertex_count:  # some vertex is no edge's target
             raise InvalidSpecError("flow equivalence requires source-free graphs")
         if not is_purely_infinite_simple(g):
             raise NotPurelyInfiniteSimpleError("flow equivalence requires purely infinite simple graphs")

@@ -1,74 +1,129 @@
 """Finite directed multigraphs, weighted Cayley graphs, and graph predicates.
 
-Graphs are stored as adjacency-count matrices: entry (v, w) is the number
-of parallel edges v -> w.  Cayley graphs follow the right-multiplication
+Graphs are stored as sparse out-rows: row v maps each target w of an edge
+v -> w to the number of parallel edges, so memory and every pass are
+linear in the edges.  Cayley graphs follow the right-multiplication
 convention, one edge g -> g*s of multiplicity w(s) per generator s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .errors import GroupTableError, InvalidSpecError
-from .zmatrix import IntMatrix
+from .zmatrix import SparseIntMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DirectedMultigraph:
-    """Finite directed multigraph with non-negative adjacency counts."""
+    """Finite directed multigraph with non-negative edge multiplicities.
 
-    adjacency: tuple[tuple[int, ...], ...]
+    ``out_rows[v]`` maps each target of an edge out of v to its
+    multiplicity, targets ascending, zeros left out; treat the dicts as
+    read-only.  The constructor takes the dense adjacency-count rows;
+    ``from_out_rows`` takes out-rows directly.
+    """
+
+    out_rows: tuple[dict[int, int], ...]
     vertex_labels: tuple[str, ...] | None = None
 
-    def __post_init__(self):
-        n = len(self.adjacency)
-        if n == 0:
-            raise InvalidSpecError("graph needs at least one vertex")
-        for row in self.adjacency:
+    def __init__(
+        self, adjacency: Sequence[Sequence[int]], vertex_labels: Sequence[str] | None = None
+    ):
+        n = len(adjacency)
+        targets = range(n)
+        out = []
+        for row in adjacency:
             if len(row) != n:
                 raise InvalidSpecError("adjacency matrix must be square")
-            if any(x < 0 for x in row):
+            if min(row) < 0:
                 raise InvalidSpecError("edge multiplicities must be non-negative")
-        if self.vertex_labels is not None and len(self.vertex_labels) != n:
-            raise InvalidSpecError("one label per vertex required")
+            out.append({w: row[w] for w in compress(targets, row)})
+        self._fill(tuple(out), vertex_labels)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], labels: Sequence[str] | None = None):
-        return cls(
-            tuple(tuple(int(x) for x in row) for row in rows),
-            tuple(labels) if labels is not None else None,
-        )
+        return cls([tuple(map(int, row)) for row in rows], labels)
+
+    @classmethod
+    def from_out_rows(
+        cls, out_rows: Sequence[Mapping[int, int]], labels: Sequence[str] | None = None
+    ) -> "DirectedMultigraph":
+        """Graph from out-rows: out_rows[v] maps targets of v to multiplicities."""
+        n = len(out_rows)
+        out = []
+        for row in out_rows:
+            if row:
+                if min(row) < 0 or max(row) >= n:
+                    raise InvalidSpecError("edge target outside the graph")
+                if min(row.values()) < 0:
+                    raise InvalidSpecError("edge multiplicities must be non-negative")
+            out.append({w: row[w] for w in sorted(row) if row[w]})
+        graph = cls.__new__(cls)
+        graph._fill(tuple(out), labels)
+        return graph
+
+    def _fill(self, out_rows: tuple[dict[int, int], ...], labels: Sequence[str] | None) -> None:
+        if not out_rows:
+            raise InvalidSpecError("graph needs at least one vertex")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != len(out_rows):
+                raise InvalidSpecError("one label per vertex required")
+        object.__setattr__(self, "out_rows", out_rows)
+        object.__setattr__(self, "vertex_labels", labels)
+
+    def __hash__(self):
+        return hash((tuple(tuple(row.items()) for row in self.out_rows), self.vertex_labels))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Dense adjacency counts, entry (v, w) the number of edges v -> w; built on first use."""
+        n = self.vertex_count
+        return tuple(map(tuple, SparseIntMatrix(n, n, self.out_rows).to_lists()))
 
     @property
     def vertex_count(self) -> int:
-        return len(self.adjacency)
+        return len(self.out_rows)
 
     def out_degree(self, v: int) -> int:
-        return sum(self.adjacency[v])
+        return sum(self.out_rows[v].values())
 
     def in_degree(self, v: int) -> int:
-        return sum(row[v] for row in self.adjacency)
+        return sum(row.get(v, 0) for row in self.out_rows)
 
-    def i_minus_at(self) -> IntMatrix:
-        """I - A^t, the square matrix whose cokernel carries the K-theory."""
+    def i_minus_at(self) -> SparseIntMatrix:
+        """I - A^t, the square matrix whose cokernel carries the K-theory.
+
+        Row v holds 1 at v less the edges into v.  Sources are visited in
+        ascending order and each row's diagonal goes in when its own turn
+        comes, so every row lists its columns ascending.
+        """
         n = self.vertex_count
-        return IntMatrix(
-            n, n, tuple((1 if i == j else 0) - self.adjacency[j][i] for i in range(n) for j in range(n))
-        )
+        rows: list[dict[int, int]] = [{} for _ in range(n)]
+        for u, out in enumerate(self.out_rows):
+            rows[u][u] = 1
+            for w, k in out.items():
+                rows[w][u] = rows[w].get(u, 0) - k
+        return _without_zero_diagonal(rows)
 
-    def i_minus_a(self) -> IntMatrix:
+    def i_minus_a(self) -> SparseIntMatrix:
         """I - A (untransposed; the flow-equivalence invariant side)."""
-        n = self.vertex_count
-        return IntMatrix(
-            n, n, tuple((1 if i == j else 0) - self.adjacency[i][j] for i in range(n) for j in range(n))
-        )
+        rows = []
+        for v, out in enumerate(self.out_rows):
+            row = {w: -k for w, k in out.items()}
+            row[v] = 1 + row.get(v, 0)
+            rows.append(row)
+        return _without_zero_diagonal(rows)
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Canonical edge list: (source, target, copy index) triples."""
         out = []
-        for u, row in enumerate(self.adjacency):
-            for v, k in enumerate(row):
+        for u, row in enumerate(self.out_rows):
+            for v, k in row.items():
                 for i in range(k):
                     out.append((u, v, i))
         return out
@@ -83,14 +138,22 @@ class DirectedMultigraph:
         lines = [f"digraph {name} {{"]
         for v in range(self.vertex_count):
             lines.append(f'  n{v} [label="{self.label(v)}"];')
-        for u, row in enumerate(self.adjacency):
-            for v, k in enumerate(row):
+        for u, row in enumerate(self.out_rows):
+            for v, k in row.items():
                 if k == 1:
                     lines.append(f"  n{u} -> n{v};")
-                elif k > 1:
+                else:
                     lines.append(f'  n{u} -> n{v} [label="({k})"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _without_zero_diagonal(rows: list[dict[int, int]]) -> SparseIntMatrix:
+    """The square sparse matrix of rows, once a diagonal that came out 0 is dropped."""
+    for v, row in enumerate(rows):
+        if not row[v]:
+            del row[v]
+    return SparseIntMatrix(len(rows), len(rows), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -311,12 +374,16 @@ class CayleySpec:
 def build_cayley(spec: CayleySpec) -> DirectedMultigraph:
     """Weighted Cayley graph: w(s) parallel edges g -> g*s per generator s."""
     group = spec.group
-    n = group.order
-    adj = [[0] * n for _ in range(n)]
-    for g, row in enumerate(adj):
-        for s, w in zip(spec.gens, spec.weights):
-            row[group.product(g, s)] += w
-    return DirectedMultigraph(tuple(map(tuple, adj)), tuple(map(group.label, range(n))))
+    product = group.product
+    steps = tuple(zip(spec.gens, spec.weights))
+    out = []
+    for g in range(group.order):
+        row: dict[int, int] = {}
+        for s, w in steps:
+            t = product(g, s)
+            row[t] = row.get(t, 0) + w
+        out.append(row)
+    return DirectedMultigraph.from_out_rows(out, tuple(map(group.label, range(group.order))))
 
 
 def build_complete_graph(n: int, loops: int) -> DirectedMultigraph:
@@ -343,7 +410,7 @@ def _strong_components(g: DirectedMultigraph) -> tuple[list[int], int]:
     a reverse topological order of the condensation.
     """
     n = g.vertex_count
-    succ = [[w for w, k in enumerate(row) if k] for row in g.adjacency]
+    succ = g.out_rows
     index = [-1] * n
     low = [0] * n
     comp = [-1] * n  # -1 while a visited vertex is still on the Tarjan stack
@@ -402,13 +469,14 @@ def is_purely_infinite_simple(g: DirectedMultigraph) -> bool:
     vertex in it has total out-weight at least two (parallel edges count).
     One linear-time component pass decides it.
     """
-    if not all(any(row) for row in g.adjacency):
+    out = g.out_rows
+    if not all(out):
         return False  # a sink
     comp, count = _strong_components(g)
     size = [0] * count
     for c in comp:
         size[c] += 1
-    cyclic = {c for v, c in enumerate(comp) if size[c] > 1 or g.adjacency[v][v]}
+    cyclic = {c for v, c in enumerate(comp) if size[c] > 1 or v in out[v]}
     if len(cyclic) != 1:
         return False
     (core,) = cyclic
@@ -487,12 +555,11 @@ def in_split(g: DirectedMultigraph, partition: Partition) -> DirectedMultigraph:
                 new_ids[(v, i)] = len(labels)
                 labels.append(f"{g.label(v)}:{i + 1}" if m > 1 else g.label(v))
 
-    size = len(labels)
-    adj = [[0] * size for _ in range(size)]
+    out: list[dict[int, int]] = [{} for _ in labels]
     for e in edges:
         u, v, _ = e
         target = new_ids[(v, class_of[e])]
-        copies = class_count[u] if class_count[u] > 0 else 1
-        for j in range(copies):
-            adj[new_ids[(u, j if class_count[u] > 0 else 0)]][target] += 1
-    return DirectedMultigraph.from_rows(adj, labels)
+        for j in range(max(class_count[u], 1)):
+            row = out[new_ids[(u, j)]]
+            row[target] = row.get(target, 0) + 1
+    return DirectedMultigraph.from_out_rows(out, labels)

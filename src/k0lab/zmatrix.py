@@ -1,20 +1,26 @@
 """Exact integer matrix arithmetic.
 
-Everything here works with arbitrary-precision Python ints: Smith
+Matrices come dense (``IntMatrix``) or as sparse rows (``SparseIntMatrix``,
+the form graphs give I - A^t in); the determinant and the Smith core take
+either.  Everything here works with arbitrary-precision Python ints: Smith
 diagonals (sparse ±1 pivots in Markowitz order, a diagonalizing
 elimination of the dense remainder, then a gcd/lcm pass that chains the
 diagonal), determinants (sparse ±1 pivots in Markowitz order, then
 fraction-free Bareiss elimination on the dense remainder), rank, matrix
 powers, and cokernels presented as finitely generated abelian groups in
-invariant-factor form.  The two sparse phases are written separately and
-share no function, so det stays an independent witness of the Smith form.
+invariant-factor form.  The two sparse phases share only ``_pivot_rows``,
+which copies the input rows and decides whether any pivot could pay; each
+eliminates on its own copy with its own code, so det stays an independent
+witness of the Smith form.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 from operator import mul as _int_mul
 from typing import Iterable, Sequence
@@ -101,6 +107,31 @@ class IntMatrix:
     def _check_same_shape(self, other: "IntMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+
+
+@dataclass(frozen=True)
+class SparseIntMatrix:
+    """Integer matrix held as one dict (column -> nonzero value) per row.
+
+    The dicts are read, never changed: each elimination phase works on its
+    own copy.
+    """
+
+    rows: int
+    cols: int
+    row_maps: tuple[dict[int, int], ...]
+
+    def to_lists(self) -> list[list[int]]:
+        out = []
+        for row in self.row_maps:
+            line = [0] * self.cols
+            for j, x in row.items():
+                line[j] = x
+            out.append(line)
+        return out
+
+
+Matrix = IntMatrix | SparseIntMatrix
 
 
 @dataclass(frozen=True)
@@ -244,10 +275,8 @@ def _diagonalize(a: list[list[int]], cols: int) -> None:
             pos = _min_abs_pivot(a, t, rows, cols) if dirty else None
 
 
-def _unit_pivots(
-    a: list[list[int]], cols: int, vec: Sequence[int] | None
-) -> tuple[int, list[list[int]], int]:
-    """Take ±1 pivots of the rows a in Markowitz order; return what is left.
+def _unit_pivots(m: Matrix, vec: Sequence[int] | None) -> tuple[int, list[list[int]], int]:
+    """Take ±1 pivots of m in Markowitz order; return what is left.
 
     The rows are held as dicts (column -> value) with one support set per
     column.  A heap yields the ±1 entry p of least Markowitz cost
@@ -264,17 +293,17 @@ def _unit_pivots(
     Returns (units, rest, rest_cols): the number of pivots taken, the rows
     of the Schur complement left, each with its passenger (the matching
     coordinate of u*vec) appended when vec is given, and their column
-    count.  Input with no ±1 entry, or so dense that no pivot could pass,
-    is returned whole without building a dict.
+    count.  Input where no pivot could pass (see ``_pivot_rows``) is
+    returned whole as dense rows.
     """
-    rows = len(a)
-    if not any(1 in row or -1 in row for row in a) or _too_dense(a, rows, cols):
+    rows, cols = m.rows, m.cols
+    sparse, dense = _pivot_rows(m)
+    if dense is not None:
         if vec is not None:
-            for row, x in zip(a, vec):
+            for row, x in zip(dense, vec):
                 row.append(x)
-        return 0, a, cols
+        return 0, dense, cols
 
-    sparse: list[dict[int, int] | None] = [{j: x for j, x in enumerate(row) if x} for row in a]
     support: list[set[int] | None] = [set() for _ in range(cols)]
     for i, row in enumerate(sparse):
         for j in row:
@@ -353,14 +382,40 @@ def _unit_pivots(
     return rows - live_rows, rest, len(keep)
 
 
-def _too_dense(a: list[list[int]], rows: int, cols: int) -> bool:
-    """Whether no ±1 pivot of a could pass 2 * cost < (rows - 1)(cols - 1).
+def _pivot_rows(m: Matrix) -> tuple[list[dict[int, int]] | None, list[list[int]] | None]:
+    """Fresh rows of m for one elimination phase: (dicts, None) or (None, lists).
 
-    The sparsest nonzero row and column bound every pivot's cost from
-    below; they are counted at C speed, before any dict is built.
+    The rows come as dicts (column -> value) when a ±1 pivot could pass
+    2 * cost < (rows - 1)(cols - 1), and as dense lists when none could:
+    m has no ±1 entry, or its sparsest nonzero row and column, which bound
+    every pivot's cost from below, already cost as much as a dense step.
+    Dense input is counted at C speed before any dict is built; sparse
+    input is copied dict by dict and never expanded unless it is dense.
     """
-    row_min = min(n for n in (cols - row.count(0) for row in a) if n)
-    col_min = min(n for n in (rows - col.count(0) for col in zip(*a)) if n)
+    rows, cols = m.rows, m.cols
+    if isinstance(m, SparseIntMatrix):
+        maps = m.row_maps
+        if not any(1 in row.values() or -1 in row.values() for row in maps):
+            return None, m.to_lists()
+        row_counts = map(len, maps)
+        col_counts = Counter(chain.from_iterable(maps)).values()
+        if _too_dense(row_counts, col_counts, rows, cols):
+            return None, m.to_lists()
+        return [dict(row) for row in maps], None
+    a = m.to_lists()
+    if not any(1 in row or -1 in row for row in a):
+        return None, a
+    row_counts = [cols - row.count(0) for row in a]
+    col_counts = [rows - col.count(0) for col in zip(*a)]
+    if _too_dense(row_counts, col_counts, rows, cols):
+        return None, a
+    return [{j: x for j, x in enumerate(row) if x} for row in a], None
+
+
+def _too_dense(row_counts: Iterable[int], col_counts: Iterable[int], rows: int, cols: int) -> bool:
+    """Whether the sparsest nonzero row and column bar every ±1 pivot."""
+    row_min = min(n for n in row_counts if n)
+    col_min = min(n for n in col_counts if n)
     return 2 * (row_min - 1) * (col_min - 1) >= (rows - 1) * (cols - 1)
 
 
@@ -386,13 +441,13 @@ def _invariant_factors(diag: Sequence[int]) -> tuple[int, ...]:
     return (1,) * units + tuple(rest) + (0,) * (len(diag) - units - len(rest))
 
 
-def snf_diagonal(m: IntMatrix) -> tuple[int, ...]:
+def snf_diagonal(m: Matrix) -> tuple[int, ...]:
     """Invariant factors of m: the diagonal of its Smith normal form."""
     return cokernel_with_class(m)[0]
 
 
 def cokernel_with_class(
-    m: IntMatrix, vec: Sequence[int] | None = None
+    m: Matrix, vec: Sequence[int] | None = None
 ) -> tuple[tuple[int, ...], FinAbGroup, int | None]:
     """One reduction of m: its Smith diagonal, its cokernel, and the order of [vec].
 
@@ -417,7 +472,7 @@ def cokernel_with_class(
     """
     if vec is not None and len(vec) != m.rows:
         raise ValueError("vector length must equal rows")
-    units, a, cols = _unit_pivots(m.to_lists(), m.cols, vec)
+    units, a, cols = _unit_pivots(m, vec)
     _diagonalize(a, cols)
     raw = [a[i][i] for i in range(min(len(a), cols))]
     diag = _invariant_factors([1] * units + raw)
@@ -436,12 +491,12 @@ def cokernel_with_class(
     return diag, group, order
 
 
-def cokernel(m: IntMatrix) -> FinAbGroup:
+def cokernel(m: Matrix) -> FinAbGroup:
     """Cokernel of the column lattice of m inside Z^rows, as a FinAbGroup."""
     return cokernel_with_class(m)[1]
 
 
-def det(m: IntMatrix) -> int:
+def det(m: Matrix) -> int:
     """Exact determinant: sparse ±1 pivots first, then Bareiss on what is left.
 
     I - A^t has a few nonzeros per row, nearly all ±1.  Phase 1 holds the
@@ -453,24 +508,18 @@ def det(m: IntMatrix) -> int:
     live rows and columns.  Phase 1 stops when no ±1 entry is left or the
     best one costs as much as a Bareiss step on the live block; phase 2 runs
     fraction-free (Bareiss) elimination on the Schur complement that
-    remains.  Dense input, where no entry could pass that rule, goes to
-    phase 2 whole.  Nothing here is shared with the Smith core, so det
-    stays an independent witness of |K0|.
+    remains.  Input where no entry could pass that rule goes to phase 2
+    whole.  Nothing here is shared with the Smith core, so det stays an
+    independent witness of |K0|.
     """
-    if not m.is_square:
+    if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
     n = m.rows
-    a = m.to_lists()
-    row_counts = [n - row.count(0) for row in a]
-    if 0 in row_counts:
+    rows, dense = _pivot_rows(m)
+    if dense is not None:
+        return _bareiss(dense)
+    if not all(rows):
         return 0
-    # The sparsest row and column bound the cost of any ±1 pivot from below;
-    # counted at C speed, they keep dense input off the dicts.
-    col_counts = [n - col.count(0) for col in zip(*a)]
-    if 2 * (min(row_counts) - 1) * (min(col_counts) - 1) >= (n - 1) ** 2:
-        return _bareiss(a)
-
-    rows: list[dict[int, int] | None] = [{j: x for j, x in enumerate(row) if x} for row in a]
     cols: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -580,7 +629,7 @@ def _bareiss(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rank(m: IntMatrix) -> int:
+def rank(m: Matrix) -> int:
     """Rank over the rationals: the number of nonzero invariant factors."""
     return sum(1 for s in snf_diagonal(m) if s != 0)
 

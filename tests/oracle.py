@@ -15,15 +15,15 @@ from math import gcd
 from typing import Sequence
 
 from k0lab.graphs import DirectedMultigraph
-from k0lab.zmatrix import IntMatrix
+from k0lab.zmatrix import IntMatrix, Matrix
 
 
-def det_via_cofactor(m: IntMatrix) -> int:
+def det_via_cofactor(m: Matrix) -> int:
     """Exact determinant by cofactor expansion (memoized on column subsets)."""
-    if not m.is_square:
+    if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
     n = m.rows
-    rows = [m.row(i) for i in range(n)]
+    rows = m.to_lists()
     cache: dict[tuple[int, int], int] = {}
 
     def expand(row: int, colmask: int) -> int:
@@ -50,18 +50,18 @@ def det_via_cofactor(m: IntMatrix) -> int:
     return expand(0, (1 << n) - 1)
 
 
-def snf_via_determinant_divisors(m: IntMatrix) -> tuple[int, ...]:
+def snf_via_determinant_divisors(m: Matrix) -> tuple[int, ...]:
     """Invariant factors as quotients of gcds of all i x i minors.
 
     Valid only when every invariant factor is nonzero, i.e. the matrix is
     nonsingular; raises otherwise.
     """
-    if not m.is_square:
+    if m.rows != m.cols:
         raise ValueError("determinant divisors need a square matrix")
     n = m.rows
     if det_via_cofactor(m) == 0:
         raise ValueError("determinant divisors require nonzero invariant factors")
-    rows = [m.row(i) for i in range(n)]
+    rows = m.to_lists()
     alphas = [1]
     for size in range(1, n + 1):
         g = 0
@@ -120,7 +120,7 @@ def _hermite_row_basis(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     return tuple(tuple(r) for r in basis)
 
 
-def lattice_membership(m: IntMatrix, vec: Sequence[int], multiple: int) -> bool:
+def lattice_membership(m: Matrix, vec: Sequence[int], multiple: int) -> bool:
     """Whether multiple * vec lies in the lattice spanned by the columns of m.
 
     Decided by Hermite reduction: adjoining the vector to the generators
@@ -129,7 +129,7 @@ def lattice_membership(m: IntMatrix, vec: Sequence[int], multiple: int) -> bool:
     """
     if len(vec) != m.rows:
         raise ValueError("vector length must equal rows")
-    cols = [[m.at(i, j) for i in range(m.rows)] for j in range(m.cols)]
+    cols = [list(col) for col in zip(*m.to_lists())]
     target = [multiple * x for x in vec]
     base = _hermite_row_basis(cols)
     extended = _hermite_row_basis(cols + [target])

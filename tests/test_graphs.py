@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from math import gcd
 
 import pytest
@@ -441,3 +442,58 @@ class TestDotExport:
         g = build_complete_graph(2, 0)
         dot = g.to_dot()
         assert "->" in dot and "label=\"(" not in dot
+
+    def test_bytes_of_d3_and_a_raw_multigraph(self):
+        # Targets print ascending whatever order the generators reach them in:
+        # from s, r leads to r^2 s and s to e, and e comes first.
+        assert build_cayley(CayleySpec.dihedral(3)).to_dot() == (
+            "digraph graph {\n"
+            '  n0 [label="e"];\n  n1 [label="r"];\n  n2 [label="r^2"];\n'
+            '  n3 [label="s"];\n  n4 [label="r^1s"];\n  n5 [label="r^2s"];\n'
+            "  n0 -> n1;\n  n0 -> n3;\n  n1 -> n2;\n  n1 -> n4;\n  n2 -> n0;\n  n2 -> n5;\n"
+            "  n3 -> n0;\n  n3 -> n5;\n  n4 -> n1;\n  n4 -> n3;\n  n5 -> n2;\n  n5 -> n4;\n"
+            "}\n"
+        )
+        g = DirectedMultigraph.from_rows([[2, 1, 0], [0, 0, 3], [1, 0, 1]], ["a", "b", "c"])
+        assert g.to_dot("raw") == (
+            "digraph raw {\n"
+            '  n0 [label="a"];\n  n1 [label="b"];\n  n2 [label="c"];\n'
+            '  n0 -> n0 [label="(2)"];\n  n0 -> n1;\n  n1 -> n2 [label="(3)"];\n'
+            "  n2 -> n0;\n  n2 -> n2;\n"
+            "}\n"
+        )
+        assert g.edges() == [
+            (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 2, 0), (1, 2, 1), (1, 2, 2), (2, 0, 0), (2, 2, 0)
+        ]
+
+
+class TestMultigraphConstruction:
+    def test_invalid_dense_rows(self):
+        for rows in ([], [[0, 1]], [[0, 1], [1]], [[0, 1], [1, 0, 0]], [[0, -1], [1, 0]]):
+            with pytest.raises(InvalidSpecError):
+                DirectedMultigraph(rows)
+        with pytest.raises(InvalidSpecError):
+            DirectedMultigraph([[1]], ["a", "b"])
+        with pytest.raises(InvalidSpecError):
+            DirectedMultigraph.from_rows([[0, 1], [-2, 0]])
+
+    def test_invalid_out_rows(self):
+        for rows in ([], [{1: 1}], [{-1: 1}], [{0: -1}], [{0: 1}, {0: 2, 1: -1}]):
+            with pytest.raises(InvalidSpecError):
+                DirectedMultigraph.from_out_rows(rows)
+        with pytest.raises(InvalidSpecError):
+            DirectedMultigraph.from_out_rows([{0: 1}], ["a", "b"])
+
+    def test_out_rows_match_dense_rows(self):
+        dense = DirectedMultigraph([[0, 2, 1], [1, 0, 0], [0, 3, 1]], ["x", "y", "z"])
+        sparse = DirectedMultigraph.from_out_rows(
+            [{2: 1, 1: 2, 0: 0}, {0: 1}, {2: 1, 1: 3}], ["x", "y", "z"]
+        )
+        assert sparse == dense and hash(sparse) == hash(dense)
+        assert [list(row.items()) for row in sparse.out_rows] == [
+            [(1, 2), (2, 1)], [(0, 1)], [(1, 3), (2, 1)]
+        ]
+        assert sparse.adjacency == dense.adjacency == ((0, 2, 1), (1, 0, 0), (0, 3, 1))
+        assert [sparse.in_degree(v) for v in range(3)] == [1, 5, 2]
+        with pytest.raises(FrozenInstanceError):
+            sparse.adjacency = ((0,),)

@@ -495,6 +495,23 @@ class TestCompanionAgreesWithFull:
             for key in set(want) - {"method", "snf_diag"}:
                 assert got[key] == want[key], (key, spec.gens, spec.weights)
 
+    def test_sparse_path_reads_no_adjacency(self):
+        ring = DirectedMultigraph.from_out_rows(
+            [{(v + 1) % 40: 1, 7 * v % 40: 2} for v in range(40)]
+        )
+        with_sink = DirectedMultigraph.from_out_rows([{1: 1}, {0: 1, 1: 1, 2: 2}, {}])
+        targets = (CayleySpec.dihedral(30), ring, with_sink)
+        expected = [analyze(DirectedMultigraph(g.adjacency)).to_json_dict() for g in targets[1:]]
+
+        def forbidden(self):
+            raise AssertionError("dense adjacency read on the sparse path")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DirectedMultigraph, "adjacency", property(forbidden))
+            reports = [analyze(target).to_json_dict() for target in targets]
+        assert reports[0]["k0"]["display"] == "Z^2"
+        assert reports[1:] == expected
+
     def test_both_mode_checks_identity_order_from_companion_side(self, monkeypatch):
         spec = CayleySpec.cyclic(5, [1], [3])  # K0 = Z_242, [1] of order W - 1 = 2
         assert analyze(spec, method="both").identity_order == 2

@@ -443,6 +443,31 @@ class TestSparseSmith:
         assert [det(m) for m in mats] == expected
 
 
+class TestSparseInput:
+    """det and the Smith core take I - A^t as sparse rows and as a dense IntMatrix alike."""
+
+    @staticmethod
+    def _graphs():
+        yield from (build_cayley(CayleySpec.dihedral(n)) for n in range(1, 61))
+        rng = random.Random(20011)
+        for v in range(40, 119, 6):
+            for sink in (False, True):
+                yield _chorded_cycle(rng, v, sink)
+        for n in (1, 2, 3):
+            for flat in product(range(3), repeat=n * n):
+                yield DirectedMultigraph([flat[i * n : (i + 1) * n] for i in range(n)])
+
+    def test_matches_the_dense_matrix(self):
+        for g in self._graphs():
+            n, adj = g.vertex_count, g.adjacency
+            dense = IntMatrix(n, n, tuple((i == j) - adj[j][i] for i in range(n) for j in range(n)))
+            sparse = g.i_minus_at()
+            assert sparse.to_lists() == dense.to_lists(), adj
+            assert det(sparse) == det(dense), adj
+            ones = [1] * n
+            assert cokernel_with_class(sparse, ones) == cokernel_with_class(dense, ones), adj
+
+
 class TestRank:
     def test_all_minus_ones(self):
         assert rank(IntMatrix.from_rows([[-1] * 6 for _ in range(6)])) == 1
