@@ -98,9 +98,9 @@ class DirectedMultigraph:
     def i_minus_at(self) -> SparseIntMatrix:
         """I - A^t, the square matrix whose cokernel carries the K-theory.
 
-        Row v holds 1 at v less the edges into v.  Sources are visited in
-        ascending order and each row's diagonal goes in when its own turn
-        comes, so every row lists its columns ascending.
+        Row v holds 1 at v less the edges into v.  Tails u are visited in
+        ascending order and row u's diagonal goes in at u's own turn, so
+        every row lists its columns ascending, as the dense rows would.
         """
         n = self.vertex_count
         rows: list[dict[int, int]] = [{} for _ in range(n)]
