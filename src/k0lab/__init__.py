@@ -27,11 +27,8 @@ from .graphs import (
     DihedralGroup,
     FiniteGroupTable,
     build_cayley,
-    build_complete_graph,
-    in_split,
     is_purely_infinite_simple,
     is_strongly_connected,
-    k_cycle,
 )
 from .k0 import (
     CompanionMatrix,

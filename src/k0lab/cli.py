@@ -4,7 +4,7 @@ Subcommands: ``cayley`` (one weighted Cayley graph), ``dihedral`` (the
 dihedral family), ``scan`` (batch tables over a family), ``snf`` (raw
 Smith form of a matrix file), ``compare`` (isomorphism test between two
 specs).  Exit codes: 0 success, 2 non-generating set, 3 invalid spec or
-hypothesis failure, 64 usage error, 65 malformed input file, 70 failed
+hypothesis failure, 64 usage error, 65 malformed or unreadable file, 70 failed
 internal check.
 """
 
@@ -44,6 +44,20 @@ class UsageError(Exception):
     pass
 
 
+class _FileError(Exception):
+    """A file named on the command line that cannot be opened, read or decoded."""
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _FileError(exc) from None
+    except UnicodeDecodeError as exc:
+        raise _FileError(f"bad input file: {exc}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from sys.exit(2)
         raise UsageError(message)
@@ -70,8 +84,7 @@ def _spec_from_args(args) -> CayleySpec:
         if len(weights) != len(gens):
             raise UsageError("--weights must match --gens in length")
     if getattr(args, "group_table", None):
-        with open(args.group_table, "r", encoding="utf-8") as fh:
-            table = read_group_table(fh.read())
+        table = read_group_table(_read_text(args.group_table))
         return CayleySpec(table, tuple(gens), tuple(weights or [1] * len(gens)))
     return CayleySpec.cyclic(args.n, gens, weights)
 
@@ -80,8 +93,11 @@ def cmd_cayley(args) -> int:
     spec = _spec_from_args(args)
     report = analyze(spec, method=args.method)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(build_cayley(spec).to_dot())
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(build_cayley(spec).to_dot())
+        except OSError as exc:
+            raise _FileError(exc) from None
     if args.json:
         print(report.to_json())
     else:
@@ -246,8 +262,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_snf(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        m = read_matrix(fh.read())
+    m = read_matrix(_read_text(args.infile))
     diag, coker, _ = cokernel_with_class(m)
     if args.json:
         payload = {
@@ -404,7 +419,7 @@ def main(argv=None) -> int:
     except (MatrixFormatError, GroupTableError) as exc:
         print(f"k0lab: bad input file: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
-    except FileNotFoundError as exc:
+    except _FileError as exc:
         print(f"k0lab: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
     except InternalCheckError as exc:

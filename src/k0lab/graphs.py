@@ -45,10 +45,6 @@ class DirectedMultigraph:
         self._fill(tuple(out), vertex_labels)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], labels: Sequence[str] | None = None):
-        return cls([tuple(map(int, row)) for row in rows], labels)
-
-    @classmethod
     def from_out_rows(
         cls, out_rows: Sequence[Mapping[int, int]], labels: Sequence[str] | None = None
     ) -> "DirectedMultigraph":
@@ -92,9 +88,6 @@ class DirectedMultigraph:
     def out_degree(self, v: int) -> int:
         return sum(self.out_rows[v].values())
 
-    def in_degree(self, v: int) -> int:
-        return sum(row.get(v, 0) for row in self.out_rows)
-
     def i_minus_at(self) -> SparseIntMatrix:
         """I - A^t, the square matrix whose cokernel carries the K-theory.
 
@@ -118,15 +111,6 @@ class DirectedMultigraph:
             row[v] = 1 + row.get(v, 0)
             rows.append(row)
         return _without_zero_diagonal(rows)
-
-    def edges(self) -> list[tuple[int, int, int]]:
-        """Canonical edge list: (source, target, copy index) triples."""
-        out = []
-        for u, row in enumerate(self.out_rows):
-            for v, k in row.items():
-                for i in range(k):
-                    out.append((u, v, i))
-        return out
 
     def label(self, v: int) -> str:
         if self.vertex_labels is not None:
@@ -386,22 +370,6 @@ def build_cayley(spec: CayleySpec) -> DirectedMultigraph:
     return DirectedMultigraph.from_out_rows(out, tuple(map(group.label, range(group.order))))
 
 
-def build_complete_graph(n: int, loops: int) -> DirectedMultigraph:
-    """One edge between every ordered pair of distinct vertices, plus loops."""
-    if n < 1:
-        raise InvalidSpecError("need at least one vertex")
-    if loops < 0:
-        raise InvalidSpecError("loop count must be non-negative")
-    adj = [[loops if i == j else 1 for j in range(n)] for i in range(n)]
-    return DirectedMultigraph.from_rows(adj)
-
-
-def k_cycle(n: int, k: int) -> DirectedMultigraph:
-    """Cycle of length n with k parallel edges on every step."""
-    spec = CayleySpec.cyclic(n, [1], [k])
-    return build_cayley(spec)
-
-
 def _strong_components(g: DirectedMultigraph) -> tuple[list[int], int]:
     """Strong component of every vertex, and the number of components.
 
@@ -481,85 +449,3 @@ def is_purely_infinite_simple(g: DirectedMultigraph) -> bool:
         return False
     (core,) = cyclic
     return any(g.out_degree(v) >= 2 for v, c in enumerate(comp) if c == core)
-
-
-Edge = tuple[int, int, int]
-Partition = Mapping[int, Sequence[Sequence[Edge]]]
-
-
-def singleton_partition(g: DirectedMultigraph) -> dict[int, list[list[Edge]]]:
-    """Each incoming edge in its own class."""
-    incoming: dict[int, list[list[Edge]]] = {}
-    for e in g.edges():
-        incoming.setdefault(e[1], []).append([e])
-    return incoming
-
-
-def one_class_partition(g: DirectedMultigraph) -> dict[int, list[list[Edge]]]:
-    """All incoming edges of a vertex in a single class."""
-    incoming: dict[int, list[Edge]] = {}
-    for e in g.edges():
-        incoming.setdefault(e[1], []).append(e)
-    return {v: [cls] for v, cls in incoming.items()}
-
-
-def in_split(g: DirectedMultigraph, partition: Partition) -> DirectedMultigraph:
-    """In-split graph for a partition of each vertex's incoming edges.
-
-    Vertex v with m(v) partition classes becomes copies v_1..v_m(v)
-    (sources stay single); edge e: u -> v in class i becomes one edge
-    u_j -> v_i out of every copy u_j of its source.
-    """
-    edges = g.edges()
-    incoming: dict[int, set[Edge]] = {}
-    for e in edges:
-        incoming.setdefault(e[1], set()).add(e)
-
-    class_count: dict[int, int] = {}
-    class_of: dict[Edge, int] = {}
-    for v in range(g.vertex_count):
-        need = incoming.get(v, set())
-        classes = partition.get(v)
-        if not need:
-            if classes:
-                raise InvalidSpecError(f"vertex {v} is a source but has partition classes")
-            class_count[v] = 0
-            continue
-        if not classes:
-            raise InvalidSpecError(f"vertex {v} has incoming edges but no partition classes")
-        seen: set[Edge] = set()
-        for idx, cls in enumerate(classes):
-            if not cls:
-                raise InvalidSpecError(f"vertex {v}: empty partition class")
-            for e in cls:
-                e = (int(e[0]), int(e[1]), int(e[2]))
-                if e not in need:
-                    raise InvalidSpecError(f"vertex {v}: {e} is not an incoming edge")
-                if e in seen:
-                    raise InvalidSpecError(f"vertex {v}: edge {e} appears in two classes")
-                seen.add(e)
-                class_of[e] = idx
-        if seen != need:
-            raise InvalidSpecError(f"vertex {v}: partition does not cover its incoming edges")
-        class_count[v] = len(classes)
-
-    new_ids: dict[tuple[int, int], int] = {}
-    labels = []
-    for v in range(g.vertex_count):
-        m = class_count[v]
-        if m == 0:
-            new_ids[(v, 0)] = len(labels)
-            labels.append(g.label(v))
-        else:
-            for i in range(m):
-                new_ids[(v, i)] = len(labels)
-                labels.append(f"{g.label(v)}:{i + 1}" if m > 1 else g.label(v))
-
-    out: list[dict[int, int]] = [{} for _ in labels]
-    for e in edges:
-        u, v, _ = e
-        target = new_ids[(v, class_of[e])]
-        for j in range(max(class_count[u], 1)):
-            row = out[new_ids[(u, j)]]
-            row[target] = row.get(target, 0) + 1
-    return DirectedMultigraph.from_out_rows(out, labels)

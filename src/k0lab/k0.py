@@ -73,13 +73,13 @@ def companion_matrix(spec: CayleySpec) -> CompanionMatrix:
     return CompanionMatrix(sk, IntMatrix.from_rows(rows), circ.IntPolynomial.of(coeffs))
 
 
-def _require_generating(spec: CayleySpec, graph: DirectedMultigraph | None = None) -> None:
+def _require_generating(spec: CayleySpec, graph: DirectedMultigraph | None) -> None:
+    """Cyclic generation is a gcd; other groups need their Cayley graph for it."""
     if spec.is_cyclic:
         if gcd(spec.n, *spec.gens) != 1:
             raise NotGeneratingError(f"S does not generate Z_{spec.n}")
         return
-    g = graph if graph is not None else build_cayley(spec)
-    if not is_strongly_connected(g):
+    if not is_strongly_connected(graph):
         raise NotGeneratingError("S does not generate the group")
 
 
@@ -227,7 +227,6 @@ def analyze(
     graph: DirectedMultigraph | None
     if isinstance(target, CayleySpec):
         spec = target
-        # Cyclic generation is a gcd; only other groups need the graph for it.
         graph = None if spec.is_cyclic else build_cayley(spec)
         _require_generating(spec, graph)
         kind = spec.group.kind
@@ -255,15 +254,16 @@ def analyze(
             raise InvalidSpecError("companion reduction needs a cyclic-group spec")
         if not pis:
             raise InvalidSpecError("companion reduction assumes total weight >= 2")
-        companion_matrix(spec)  # raises when 0 is a generator
         method = "companion_reduction"
     else:
         if not companion_ok:
             raise InvalidSpecError("method 'both' needs a cyclic spec with 0 not in S and W >= 2")
         method = "both"
 
+    # companion_matrix raises when 0 is a generator, which only method="companion" lets through.
+    h = companion_matrix(spec).char_poly if method != "full_snf" else None
     if method == "companion_reduction":
-        p, g = _companion_presentation(companion_matrix(spec).char_poly, n)
+        p, g = _companion_presentation(h, n)
         diag, k0_result, order = cokernel_with_class(p, g)
         det_value = (-1) ** max(spec.gens) * det(p)
     else:
@@ -277,7 +277,7 @@ def analyze(
             diag, k0_result, order = cokernel_with_class(m, [1] * n)
             if method == "both":
                 diag, k0_companion, order_companion = cokernel_with_class(
-                    *_companion_presentation(companion_matrix(spec).char_poly, n)
+                    *_companion_presentation(h, n)
                 )
                 named = _spec_name(n, spec.gens, spec.weights)
                 if k0_companion != k0_result:

@@ -4,18 +4,26 @@ These share no algorithms with the engine they validate: invariant
 factors come from determinant-divisor gcds over all minors, determinants
 from cofactor expansion, lattice membership from a self-contained
 Hermite reduction, and pure infinite simplicity from one
-hereditary-saturated closure per vertex.  Everything here is exponential
-or cubic with no cleverness; keep the inputs small.
+hereditary-saturated closure per vertex.  In-splitting generates
+flow-equivalent graphs (Abrams, Louly, Pardo & Smith, *Flow invariants in
+the classification of Leavitt path algebras*, J. Algebra 333, 2011), so the
+flow invariants can be checked on pairs known to be equivalent.
+Everything here is exponential or cubic with no cleverness; keep the
+inputs small.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
-from typing import Sequence
+from typing import Mapping, Sequence
 
+from k0lab.errors import InvalidSpecError
 from k0lab.graphs import DirectedMultigraph
 from k0lab.zmatrix import IntMatrix, Matrix
+
+Edge = tuple[int, int, int]
+Partition = Mapping[int, Sequence[Sequence[Edge]]]
 
 
 def det_via_cofactor(m: Matrix) -> int:
@@ -249,3 +257,91 @@ def pis_by_closure(g: DirectedMultigraph) -> bool:
     n = g.vertex_count
     everything = frozenset(range(n))
     return all(hereditary_saturated_closure(g, [v]) == everything for v in range(n))
+
+
+def edges(g: DirectedMultigraph) -> list[Edge]:
+    """Canonical edge list: (source, target, copy index) triples."""
+    out = []
+    for u, row in enumerate(g.out_rows):
+        for v, k in row.items():
+            for i in range(k):
+                out.append((u, v, i))
+    return out
+
+
+def singleton_partition(g: DirectedMultigraph) -> dict[int, list[list[Edge]]]:
+    """Each incoming edge in its own class."""
+    incoming: dict[int, list[list[Edge]]] = {}
+    for e in edges(g):
+        incoming.setdefault(e[1], []).append([e])
+    return incoming
+
+
+def one_class_partition(g: DirectedMultigraph) -> dict[int, list[list[Edge]]]:
+    """All incoming edges of a vertex in a single class."""
+    incoming: dict[int, list[Edge]] = {}
+    for e in edges(g):
+        incoming.setdefault(e[1], []).append(e)
+    return {v: [cls] for v, cls in incoming.items()}
+
+
+def in_split(g: DirectedMultigraph, partition: Partition) -> DirectedMultigraph:
+    """In-split graph for a partition of each vertex's incoming edges.
+
+    Vertex v with m(v) partition classes becomes copies v_1..v_m(v)
+    (sources stay single); edge e: u -> v in class i becomes one edge
+    u_j -> v_i out of every copy u_j of its source.
+    """
+    all_edges = edges(g)
+    incoming: dict[int, set[Edge]] = {}
+    for e in all_edges:
+        incoming.setdefault(e[1], set()).add(e)
+
+    class_count: dict[int, int] = {}
+    class_of: dict[Edge, int] = {}
+    for v in range(g.vertex_count):
+        need = incoming.get(v, set())
+        classes = partition.get(v)
+        if not need:
+            if classes:
+                raise InvalidSpecError(f"vertex {v} is a source but has partition classes")
+            class_count[v] = 0
+            continue
+        if not classes:
+            raise InvalidSpecError(f"vertex {v} has incoming edges but no partition classes")
+        seen: set[Edge] = set()
+        for idx, cls in enumerate(classes):
+            if not cls:
+                raise InvalidSpecError(f"vertex {v}: empty partition class")
+            for e in cls:
+                e = (int(e[0]), int(e[1]), int(e[2]))
+                if e not in need:
+                    raise InvalidSpecError(f"vertex {v}: {e} is not an incoming edge")
+                if e in seen:
+                    raise InvalidSpecError(f"vertex {v}: edge {e} appears in two classes")
+                seen.add(e)
+                class_of[e] = idx
+        if seen != need:
+            raise InvalidSpecError(f"vertex {v}: partition does not cover its incoming edges")
+        class_count[v] = len(classes)
+
+    new_ids: dict[tuple[int, int], int] = {}
+    labels = []
+    for v in range(g.vertex_count):
+        m = class_count[v]
+        if m == 0:
+            new_ids[(v, 0)] = len(labels)
+            labels.append(g.label(v))
+        else:
+            for i in range(m):
+                new_ids[(v, i)] = len(labels)
+                labels.append(f"{g.label(v)}:{i + 1}" if m > 1 else g.label(v))
+
+    out: list[dict[int, int]] = [{} for _ in labels]
+    for e in all_edges:
+        u, v, _ = e
+        target = new_ids[(v, class_of[e])]
+        for j in range(max(class_count[u], 1)):
+            row = out[new_ids[(u, j)]]
+            row[target] = row.get(target, 0) + 1
+    return DirectedMultigraph.from_out_rows(out, labels)

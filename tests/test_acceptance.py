@@ -20,14 +20,7 @@ from k0lab.circulant import (
     two_generator_singularity,
 )
 from k0lab.classify import dihedral_theorem_row
-from k0lab.graphs import (
-    CayleySpec,
-    build_cayley,
-    build_complete_graph,
-    in_split,
-    k_cycle,
-    singleton_partition,
-)
+from k0lab.graphs import CayleySpec, build_cayley
 from k0lab.k0 import analyze, closed_form_S01, companion_matrix
 from k0lab.zmatrix import (
     FinAbGroup,
@@ -40,7 +33,7 @@ from k0lab.zmatrix import (
 )
 
 from conftest import random_matrix
-from oracle import det_via_cofactor, snf_via_determinant_divisors
+from oracle import det_via_cofactor, in_split, singleton_partition, snf_via_determinant_divisors
 
 
 def _verdict(number: int, description: str, failures: list) -> None:
@@ -168,7 +161,7 @@ def test_criterion_03_complete_graphs():
         if report.det_value != -(n - 1):
             failures.append((n, 1, "det", report.det_value))
     for n in range(2, 11):
-        graph = build_complete_graph(n, 2)
+        graph = build_cayley(CayleySpec.complete(n, 2))
         report = analyze(CayleySpec.complete(n, 2))
         if report.k0 != FinAbGroup(free_rank=n - 1):
             failures.append((n, 2, "K0", report.k0.display()))
@@ -313,11 +306,11 @@ def test_criterion_10_oracle_equivalence():
 def test_criterion_11_flow_equivalence_invariance():
     failures = []
     corpus = [
-        build_complete_graph(3, 1),
-        build_complete_graph(5, 1),
-        build_complete_graph(4, 2),
-        k_cycle(4, 2),
-        k_cycle(6, 3),
+        build_cayley(CayleySpec.complete(3, 1)),
+        build_cayley(CayleySpec.complete(5, 1)),
+        build_cayley(CayleySpec.complete(4, 2)),
+        build_cayley(CayleySpec.cyclic(4, [1], [2])),
+        build_cayley(CayleySpec.cyclic(6, [1], [3])),
         build_cayley(CayleySpec.cyclic(6, [2, 3])),
     ]
     for g in corpus:

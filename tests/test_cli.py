@@ -75,6 +75,18 @@ class TestCayleyCommand:
         assert "K0 = Z_3" in out
         assert "group kind" not in out  # sanity: text renderer stays stable
 
+    def test_group_table_directory_exit_65(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "cayley", "--n", "6", "--gens", "2,3",
+                                 "--group-table", str(tmp_path))
+        assert (code, out) == (65, "")
+        assert err.startswith("k0lab: ") and err.count("\n") == 1
+
+    def test_dot_to_directory_exit_65(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "cayley", "--n", "6", "--gens", "2,3",
+                                 "--dot", str(tmp_path))
+        assert (code, out) == (65, "")
+        assert err.startswith("k0lab: ") and err.count("\n") == 1
+
     def test_group_table_bad_file_exit_65(self, capsys, tmp_path):
         table_file = tmp_path / "broken.grp"
         table_file.write_text("2\n0 1\n")
@@ -145,6 +157,18 @@ class TestSnfCommand:
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "snf", "--in", str(tmp_path / "nope.txt"))
         assert code == 65
+
+    def test_directory_exit_65(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "snf", "--in", str(tmp_path))
+        assert (code, out) == (65, "")
+        assert err.startswith("k0lab: ") and err.count("\n") == 1
+
+    def test_binary_file_exit_65(self, capsys, tmp_path):
+        f = tmp_path / "m.bin"
+        f.write_bytes(b"2 2\n1 0\n0 \xff\n")
+        code, out, err = run_cli(capsys, "snf", "--in", str(f))
+        assert (code, out) == (65, "")
+        assert err.startswith("k0lab: bad input file: ") and err.count("\n") == 1
 
 
 class TestScanCommand:
@@ -288,6 +312,17 @@ def test_internal_check_failure_exit_code(capsys, monkeypatch):
     assert code == 70
     assert out == ""
     assert err == "k0lab: internal check failed: forced failure\n"
+
+
+def test_os_error_outside_file_access_is_not_exit_65(capsys, monkeypatch):
+    # exit 65 means a named file could not be read or written; a broken
+    # stdout pipe is not that and propagates as before
+    def broken_pipe(*args, **kwargs):
+        raise BrokenPipeError("stdout closed")
+
+    monkeypatch.setattr(k0lab.cli, "analyze", broken_pipe)
+    with pytest.raises(BrokenPipeError):
+        main(["cayley", "--n", "6", "--gens", "2,3"])
 
 
 class TestFuzz:

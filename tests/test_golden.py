@@ -52,7 +52,7 @@ def _random_graphs():
     rng = random.Random(20181)
     for _ in range(20):
         n = rng.randint(1, 7)
-        yield DirectedMultigraph.from_rows(
+        yield DirectedMultigraph(
             [[rng.choice((0, 0, 1, 1, 2)) for _ in range(n)] for _ in range(n)]
         )
 

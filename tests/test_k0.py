@@ -19,8 +19,6 @@ from k0lab.graphs import (
     CayleySpec,
     DirectedMultigraph,
     build_cayley,
-    build_complete_graph,
-    k_cycle,
 )
 from k0lab.k0 import (
     K0Report,
@@ -124,15 +122,15 @@ class TestK0ViaCompanion:
 
 class TestK0ViaFullSnf:
     def test_complete_graphs(self):
-        assert _full_k0(build_complete_graph(5, 1)) == FinAbGroup((4,))
-        assert _full_k0(build_complete_graph(4, 2)) == FinAbGroup(free_rank=3)
+        assert _full_k0(build_cayley(CayleySpec.complete(5, 1))) == FinAbGroup((4,))
+        assert _full_k0(build_cayley(CayleySpec.complete(4, 2))) == FinAbGroup(free_rank=3)
 
     def test_dihedral_nine(self):
         g = build_cayley(CayleySpec.dihedral(9))
         assert _full_k0(g) == FinAbGroup((2, 2))
 
     def test_not_pis_rejected(self):
-        report = analyze(k_cycle(4, 1), method="full")
+        report = analyze(build_cayley(CayleySpec.cyclic(4, [1])), method="full")
         assert report.pis is False and report.k0 is None
 
 
@@ -197,14 +195,14 @@ class TestAnalyze:
             analyze(CayleySpec.cyclic(6, [2]))
 
     def test_raw_graph_input(self):
-        report = analyze(build_complete_graph(5, 1))
+        report = analyze(build_cayley(CayleySpec.complete(5, 1)))
         assert report.group_kind == "graph"
         assert report.generators is None
         assert report.k0 == FinAbGroup((4,))
         assert report.classification.display() == "L(1,5)"
 
     def test_raw_graph_not_pis(self):
-        report = analyze(k_cycle(3, 1))
+        report = analyze(build_cayley(CayleySpec.cyclic(3, [1])))
         assert report.pis is False
         assert report.classification.kind == "M_n(K[x,x^-1])"
 

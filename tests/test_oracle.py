@@ -1,11 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k0lab.circulant import Circulant, circulant_det
-from k0lab.graphs import CayleySpec, build_cayley, build_complete_graph, k_cycle
-from k0lab.zmatrix import IntMatrix, cokernel_with_class, det, snf_diagonal
+from k0lab.errors import InvalidSpecError
+from k0lab.graphs import CayleySpec, DirectedMultigraph, build_cayley
+from k0lab.zmatrix import IntMatrix, cokernel, cokernel_with_class, det, snf_diagonal
 
 from conftest import random_matrix
-from oracle import det_via_cofactor, lattice_membership, snf_via_determinant_divisors
+from oracle import (
+    det_via_cofactor,
+    in_split,
+    lattice_membership,
+    one_class_partition,
+    singleton_partition,
+    snf_via_determinant_divisors,
+)
 
 
 class TestDeterminantDivisors:
@@ -17,7 +27,7 @@ class TestDeterminantDivisors:
         assert snf_via_determinant_divisors(IntMatrix.from_rows([[2, 0], [0, 6]])) == (2, 6)
 
     def test_complete_graph(self):
-        m = build_complete_graph(4, 1).i_minus_at()
+        m = build_cayley(CayleySpec.complete(4, 1)).i_minus_at()
         assert snf_via_determinant_divisors(m) == (1, 1, 1, 3)
 
     def test_singular_rejected(self):
@@ -64,7 +74,7 @@ class TestLatticeMembership:
         assert not lattice_membership(m, [1, 1], 1)
 
     def test_weighted_cycle_witness(self):
-        m = k_cycle(3, 3).i_minus_at()
+        m = build_cayley(CayleySpec.cyclic(3, [1], [3])).i_minus_at()
         assert lattice_membership(m, [1, 1, 1], 2)
         assert not lattice_membership(m, [1, 1, 1], 1)
 
@@ -77,7 +87,7 @@ class TestLatticeMembership:
         corpus = [
             (IntMatrix.from_rows([[2, 0], [0, 4]]), [1, 1]),
             (IntMatrix.from_rows([[5]]), [1]),
-            (k_cycle(3, 3).i_minus_at(), [1, 1, 1]),
+            (build_cayley(CayleySpec.cyclic(3, [1], [3])).i_minus_at(), [1, 1, 1]),
             (build_cayley(CayleySpec.cyclic(6, [2, 3])).i_minus_at(), [1] * 6),
             (IntMatrix.from_rows([[7, 1], [0, 7]]), [1, 3]),
         ]
@@ -91,3 +101,77 @@ class TestLatticeMembership:
                 continue
             hits = [d for d in range(1, order + 1) if lattice_membership(m, vec, d)]
             assert hits == [order]
+
+
+class TestInSplit:
+    def test_one_class_partition_is_identity(self):
+        g = build_cayley(CayleySpec.cyclic(6, [2, 3]))
+        split = in_split(g, one_class_partition(g))
+        assert split.adjacency == g.adjacency
+
+    def test_two_cycle_single_edge_class(self):
+        g = build_cayley(CayleySpec.cyclic(2, [1]))
+        split = in_split(g, singleton_partition(g))
+        assert split.adjacency == g.adjacency
+
+    def test_singleton_split_preserves_flow_invariants(self):
+        corpus = [
+            build_cayley(CayleySpec.cyclic(4, [1], [2])),
+            build_cayley(CayleySpec.complete(3, 1)),
+            build_cayley(CayleySpec.complete(4, 2)),
+            build_cayley(CayleySpec.cyclic(6, [2, 3])),
+            build_cayley(CayleySpec.cyclic(5, [1, 4])),
+        ]
+        for g in corpus:
+            split = in_split(g, singleton_partition(g))
+            assert det(g.i_minus_a()) == det(split.i_minus_a())
+            assert cokernel(g.i_minus_a()) == cokernel(split.i_minus_a())
+
+    def test_dihedral_graph_is_insplit_of_two_generator_cycle(self):
+        # The 2n-vertex dihedral Cayley graph is the fully in-split form of
+        # the Z_n graph with S = {1, n-1}; same determinant and cokernel.
+        for n in (3, 4, 5, 6, 7):
+            base = build_cayley(CayleySpec.cyclic(n, [1, n - 1]))
+            split = in_split(base, singleton_partition(base))
+            dihedral = build_cayley(CayleySpec.dihedral(n))
+            assert split.vertex_count == dihedral.vertex_count == 2 * n
+            assert det(split.i_minus_a()) == det(dihedral.i_minus_a())
+            assert cokernel(split.i_minus_a()) == cokernel(dihedral.i_minus_a())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_singleton_split_invariants_on_random_source_free_graphs(self, data):
+        n = data.draw(st.integers(2, 6))
+        # a full cycle guarantees the graph is source-free, extra edges on top
+        adj = [[0] * n for _ in range(n)]
+        for i in range(n):
+            adj[i][(i + 1) % n] += 1
+        extras = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 2)),
+                max_size=6,
+            )
+        )
+        for u, v, k in extras:
+            adj[u][v] += k
+        g = DirectedMultigraph(adj)
+        split = in_split(g, singleton_partition(g))
+        assert det(g.i_minus_a()) == det(split.i_minus_a())
+        assert cokernel(g.i_minus_a()) == cokernel(split.i_minus_a())
+
+    def test_malformed_partitions(self):
+        g = build_cayley(CayleySpec.cyclic(3, [1], [2]))
+        good = singleton_partition(g)
+        missing = dict(good)
+        del missing[0]
+        with pytest.raises(InvalidSpecError):
+            in_split(g, missing)
+        overlapping = {v: [cls + cls[:1] for cls in classes] for v, classes in good.items()}
+        with pytest.raises(InvalidSpecError):
+            in_split(g, overlapping)
+        empty = {v: classes + [[]] for v, classes in good.items()}
+        with pytest.raises(InvalidSpecError):
+            in_split(g, empty)
+        foreign = {v: [[(0, 0, 9)]] for v in range(3)}
+        with pytest.raises(InvalidSpecError):
+            in_split(g, foreign)

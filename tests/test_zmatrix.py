@@ -12,8 +12,6 @@ from k0lab.graphs import (
     CayleySpec,
     DirectedMultigraph,
     build_cayley,
-    build_complete_graph,
-    k_cycle,
 )
 from k0lab.k0 import _companion_presentation, companion_matrix
 from k0lab.zmatrix import (
@@ -114,11 +112,11 @@ class TestDet:
         assert det(c6_23_matrix()) == -7
 
     def test_complete_graph_one_loop(self):
-        m = build_complete_graph(5, 1).i_minus_at()
+        m = build_cayley(CayleySpec.complete(5, 1)).i_minus_at()
         assert det(m) == -4
 
     def test_k_cycle(self):
-        assert det(k_cycle(3, 2).i_minus_at()) == 1 - 2**3
+        assert det(build_cayley(CayleySpec.cyclic(3, [1], [2])).i_minus_at()) == 1 - 2**3
 
     def test_matches_snf_product_when_nonsingular(self, rng):
         checked = 0
@@ -515,7 +513,7 @@ class TestElementOrder:
         assert cokernel_with_class(c6_23_matrix(), [1] * 6)[2] == 1
 
     def test_weighted_three_cycle(self):
-        m = k_cycle(3, 3).i_minus_at()
+        m = build_cayley(CayleySpec.cyclic(3, [1], [3])).i_minus_at()
         assert cokernel_with_class(m, [1, 1, 1])[2] == 2
 
     def test_double_identity(self):
@@ -538,7 +536,7 @@ class TestElementOrder:
     def test_order_is_least_lattice_multiple(self, rng):
         corpus = [
             (c6_23_matrix(), [1] * 6),
-            (k_cycle(3, 3).i_minus_at(), [1, 1, 1]),
+            (build_cayley(CayleySpec.cyclic(3, [1], [3])).i_minus_at(), [1, 1, 1]),
             (IntMatrix.from_rows([[2, 0], [0, 4]]), [1, 1]),
             (IntMatrix.from_rows([[6, 0], [0, 10]]), [2, 5]),
         ]
