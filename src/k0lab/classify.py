@@ -17,7 +17,7 @@ from math import gcd
 from .errors import InternalCheckError, InvalidSpecError, NotPurelyInfiniteSimpleError
 from .graphs import DirectedMultigraph, is_purely_infinite_simple, is_strongly_connected
 from .k0 import K0Report
-from .zmatrix import FinAbGroup, cokernel, det
+from .zmatrix import FinAbGroup, cokernel, det, int_text
 
 KIND_LEAVITT = "L(1,m)"
 KIND_MAT_LEAVITT = "M_d(L(1,m))"
@@ -38,9 +38,9 @@ class AlgebraClass:
 
     def display(self) -> str:
         if self.kind == KIND_LEAVITT:
-            return f"L(1,{self.m})"
+            return f"L(1,{int_text(self.m)})"
         if self.kind == KIND_MAT_LEAVITT:
-            return f"M_{self.d}(L(1,{self.m}))"
+            return f"M_{int_text(self.d)}(L(1,{int_text(self.m)}))"
         if self.kind == KIND_MAT_LAURENT:
             return f"M_{self.n}(K[x,x^-1])"
         if self.kind == KIND_COMPLETE_TWO_LOOPS:
@@ -107,11 +107,16 @@ def classify_report(report: K0Report, graph: DirectedMultigraph | None = None) -
     if k0 is None:
         raise InternalCheckError("purely infinite simple report without K0")
     order = report.identity_order
-    witness = f"K0 = {k0.display()}, identity class order {order}, det sign {report.det_sign}"
+    witness = (
+        f"K0 = {k0.display()}, identity class order {report.order_text()}, "
+        f"det sign {report.det_sign}"
+    )
     if k0.is_finite and k0.is_cyclic and report.det_sign <= 0:
         size = k0.order()
         if not isinstance(order, int) or size % order != 0:
-            raise InternalCheckError(f"identity order {order} does not divide |K0| = {size}")
+            raise InternalCheckError(
+                f"identity order {report.order_text()} does not divide |K0| = {int_text(size)}"
+            )
         return mat_leavitt(size // order, size + 1, witness)
     if k0.is_free and k0.free_rank >= 1 and order == 1 and report.det_sign == 0:
         return complete_two_loops(k0.free_rank + 1, witness)
@@ -196,7 +201,7 @@ def kp_compare(a: K0Report, b: K0Report) -> KPComparison:
         if u is None:
             return KPComparison(
                 VERDICT_UNDECIDED,
-                f"no automorphism of Z_{size} maps one identity class to the other "
+                f"no automorphism of Z_{int_text(size)} maps one identity class to the other "
                 f"(orders {oa} vs {ob})",
             )
         return KPComparison(

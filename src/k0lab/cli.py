@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from multiprocessing import Pool
 from typing import Callable
@@ -27,8 +26,8 @@ from .errors import (
     NotPurelyInfiniteSimpleError,
 )
 from .graphs import CayleySpec, build_cayley, read_group_table
-from .k0 import K0Report, analyze, closed_form_S01
-from .zmatrix import MatrixFormatError, cokernel_with_class, det, read_matrix
+from .k0 import K0Report, analyze, closed_form_S01, json_text
+from .zmatrix import MatrixFormatError, cokernel_with_class, det, int_text, read_matrix
 
 EXIT_OK = 0
 EXIT_NOT_GENERATING = 2
@@ -68,10 +67,6 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         return [int(p) for p in text.split(",") if p != ""]
     except ValueError:
         raise UsageError(f"{what} must be a comma-separated list of integers") from None
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _spec_from_args(args) -> CayleySpec:
@@ -115,7 +110,7 @@ def cmd_dihedral(args) -> int:
             "k0": expected_group.display(),
             "classification": expected_class.display() if expected_class else None,
         }
-        print(_json_text(data))
+        print(json_text(data))
     else:
         print(report.render_text(), end="")
         expect = expected_group.display()
@@ -131,7 +126,7 @@ def _report_row(report: K0Report, label: str) -> dict:
         "n": report.n,
         "generators": list(report.generators or []),
         "weights": list(report.weights or []),
-        "det": str(report.det_value),
+        "det": int_text(report.det_value),
         "k0": report.k0.display() if report.k0 is not None else "",
         "classification": report.classification.display() if report.classification else "",
     }
@@ -235,7 +230,7 @@ _SCAN_COLUMNS = ["instance", "n", "det", "k0", "classification"]
 
 def _render_scan(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        return _json_text(rows) + "\n"
+        return json_text(rows) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         fieldnames = list(rows[0].keys())
@@ -268,16 +263,16 @@ def cmd_snf(args) -> int:
         payload = {
             "rows": m.rows,
             "cols": m.cols,
-            "diag": [str(d) for d in diag],
+            "diag": [int_text(d) for d in diag],
             "coker": coker.display(),
-            "det": str(det(m)) if m.is_square else None,
+            "det": int_text(det(m)) if m.is_square else None,
         }
-        print(_json_text(payload))
+        print(json_text(payload))
     else:
-        print("diag: " + " ".join(str(d) for d in diag))
+        print("diag: " + " ".join(map(int_text, diag)))
         print(f"coker: {coker.display()}")
         if m.is_square:
-            print(f"det = {det(m)}")
+            print(f"det = {int_text(det(m))}")
     return EXIT_OK
 
 
@@ -339,12 +334,11 @@ def cmd_compare(args) -> int:
             "detail": outcome.detail,
             "multiplier": outcome.multiplier,
         }
-        print(_json_text(payload))
+        print(json_text(payload))
     else:
-        print(f"left:  K0 = {left.k0.display()}, det = {left.det_value}, "
-              f"identity order {left.identity_order}, {left.classification.display()}")
-        print(f"right: K0 = {right.k0.display()}, det = {right.det_value}, "
-              f"identity order {right.identity_order}, {right.classification.display()}")
+        for side, report in (("left: ", left), ("right:", right)):
+            print(f"{side} K0 = {report.k0.display()}, det = {int_text(report.det_value)}, "
+                  f"identity order {report.order_text()}, {report.classification.display()}")
         print(f"verdict: {outcome.verdict}")
         print(f"  {outcome.detail}")
     return EXIT_OK

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import GroupTableError, InvalidSpecError
-from .zmatrix import SparseIntMatrix
+from .zmatrix import SparseIntMatrix, int_text
 
 
 @dataclass(frozen=True, init=False)
@@ -24,7 +24,10 @@ class DirectedMultigraph:
     ``out_rows[v]`` maps each target of an edge out of v to its
     multiplicity, targets ascending, zeros left out; treat the dicts as
     read-only.  The constructor takes the dense adjacency-count rows;
-    ``from_out_rows`` takes out-rows directly.
+    ``from_out_rows`` takes out-rows directly.  Both refuse a multiplicity
+    that is not an int (a float, Fraction or Decimal, even a zero one).
+    A bool counts as an int, as it does in Python: True is one edge and
+    False none, and the rows store plain ints.
     """
 
     out_rows: tuple[dict[int, int], ...]
@@ -39,9 +42,11 @@ class DirectedMultigraph:
         for row in adjacency:
             if len(row) != n:
                 raise InvalidSpecError("adjacency matrix must be square")
+            if not _all_ints(row):
+                raise InvalidSpecError("edge multiplicities must be integers")
             if min(row) < 0:
                 raise InvalidSpecError("edge multiplicities must be non-negative")
-            out.append({w: row[w] for w in compress(targets, row)})
+            out.append({w: int(row[w]) for w in compress(targets, row)})
         self._fill(tuple(out), vertex_labels)
 
     @classmethod
@@ -53,11 +58,13 @@ class DirectedMultigraph:
         out = []
         for row in out_rows:
             if row:
-                if min(row) < 0 or max(row) >= n:
+                if not _all_ints(row) or min(row) < 0 or max(row) >= n:
                     raise InvalidSpecError("edge target outside the graph")
+                if not _all_ints(row.values()):
+                    raise InvalidSpecError("edge multiplicities must be integers")
                 if min(row.values()) < 0:
                     raise InvalidSpecError("edge multiplicities must be non-negative")
-            out.append({w: row[w] for w in sorted(row) if row[w]})
+            out.append({w: int(row[w]) for w in sorted(row) if row[w]})
         graph = cls.__new__(cls)
         graph._fill(tuple(out), labels)
         return graph
@@ -127,9 +134,21 @@ class DirectedMultigraph:
                 if k == 1:
                     lines.append(f"  n{u} -> n{v};")
                 else:
-                    lines.append(f'  n{u} -> n{v} [label="({k})"];')
+                    lines.append(f'  n{u} -> n{v} [label="({int_text(k)})"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _all_ints(values: Iterable) -> bool:
+    """Whether every value is an int or a bool, in one pass at C speed.
+
+    A sum of ints is an int; a float, Fraction or Decimal among them makes
+    the sum one of those, and a non-number makes it raise.
+    """
+    try:
+        return type(sum(values)) is int
+    except TypeError:
+        return False
 
 
 def _without_zero_diagonal(rows: list[dict[int, int]]) -> SparseIntMatrix:

@@ -35,6 +35,7 @@ from .graphs import (
 )
 # ``cokernel`` is not called here; it stays a module name that bench/tracer.py wraps.
 from .zmatrix import FinAbGroup, IntMatrix, cokernel, cokernel_with_class, det  # noqa: F401
+from .zmatrix import int_text
 
 DEFAULT_CROSSCHECK_LIMIT = 24
 CROSSCHECK_ENV = "K0LAB_CROSSCHECK_LIMIT"
@@ -108,6 +109,35 @@ def _companion_presentation(h: circ.IntPolynomial, n: int) -> tuple[IntMatrix, l
     return p, list(g) + [0] * (sk - len(g))
 
 
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, with ints of any length.
+
+    ``json`` writes an int with ``str``, which refuses more digits than the
+    interpreter's limit.  When it does, each int is swapped for a marker
+    string, and each marker in the text for the int's ``int_text``.
+    """
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True)
+    except ValueError:
+        pass
+    ints: list[int] = []
+
+    def mark(x):
+        if isinstance(x, dict):
+            return {k: mark(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [mark(v) for v in x]
+        if isinstance(x, int) and not isinstance(x, bool):
+            ints.append(x)
+            return f"\0{len(ints) - 1}\0"
+        return x
+
+    text = json.dumps(mark(obj), indent=2, sort_keys=True)
+    for k, x in enumerate(ints):
+        text = text.replace(f'"\\u0000{k}\\u0000"', int_text(x), 1)
+    return text
+
+
 @dataclass(frozen=True)
 class K0Report:
     """Complete analysis record for one graph."""
@@ -130,17 +160,10 @@ class K0Report:
         k0_field = None
         if self.k0 is not None:
             k0_field = {
-                "torsion": [str(t) for t in self.k0.torsion],
+                "torsion": [int_text(t) for t in self.k0.torsion],
                 "free_rank": self.k0.free_rank,
                 "display": self.k0.display(),
             }
-        order: str | None
-        if self.identity_order is None:
-            order = None
-        elif self.identity_order == "infinite":
-            order = "infinite"
-        else:
-            order = str(self.identity_order)
         classification = None
         if self.classification is not None:
             classification = self.classification.to_json_dict()
@@ -151,38 +174,44 @@ class K0Report:
             "group": self.group_kind,
             "W": self.total_weight,
             "pis": self.pis,
-            "det": str(self.det_value),
+            "det": int_text(self.det_value),
             "det_sign": self.det_sign,
-            "snf_diag": [str(s) for s in self.snf_diag],
+            "snf_diag": [int_text(s) for s in self.snf_diag],
             "k0": k0_field,
-            "identity_order": order,
+            "identity_order": self.order_text(),
             "method": self.method,
             "classification": classification,
         }
 
+    def order_text(self) -> str | None:
+        """The identity order as printed: its digits, "infinite", or None."""
+        order = self.identity_order
+        return order if order is None or isinstance(order, str) else int_text(order)
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json_text(self.to_json_dict())
 
     def render_text(self) -> str:
         lines = []
         if self.generators is not None:
-            gens = ",".join(str(g) for g in self.generators)
-            ws = ",".join(str(w) for w in self.weights)
+            gens = ",".join(map(int_text, self.generators))
+            ws = ",".join(map(int_text, self.weights))
             lines.append(
-                f"graph: {self.group_kind} n={self.n} S={{{gens}}} w={{{ws}}} (W={self.total_weight})"
+                f"graph: {self.group_kind} n={self.n} S={{{gens}}} w={{{ws}}} "
+                f"(W={int_text(self.total_weight)})"
             )
         else:
             lines.append(f"graph: {self.group_kind} with {self.n} vertices")
         lines.append(f"pis: {'true' if self.pis else 'false'}")
-        lines.append(f"det = {self.det_value}")
+        lines.append(f"det = {int_text(self.det_value)}")
         lines.append(f"det sign: {self.det_sign}")
-        lines.append("snf diag: " + " ".join(str(s) for s in self.snf_diag))
+        lines.append("snf diag: " + " ".join(map(int_text, self.snf_diag)))
         if self.k0 is not None:
             lines.append(f"K0 = {self.k0.display()}")
         else:
             lines.append("K0 = (omitted: not purely infinite simple)")
         if self.identity_order is not None:
-            lines.append(f"identity order: {self.identity_order}")
+            lines.append(f"identity order: {self.order_text()}")
         lines.append(f"method: {self.method}")
         if self.classification is not None:
             lines.append(f"classification: {self.classification.display()}")
@@ -333,7 +362,8 @@ def _validate_report(report: K0Report) -> None:
     if report.det_value != 0:
         if report.k0.order() != abs(report.det_value):
             raise InternalCheckError(
-                f"|K0| = {report.k0.order()} but |det| = {abs(report.det_value)}"
+                f"|K0| = {int_text(report.k0.order())} "
+                f"but |det| = {int_text(abs(report.det_value))}"
             )
     else:
         if report.k0.free_rank == 0:
@@ -343,7 +373,8 @@ def _validate_report(report: K0Report) -> None:
     order = report.identity_order
     if not isinstance(order, int) or (report.total_weight - 1) % order:
         raise InternalCheckError(
-            f"identity order {order} does not divide W - 1 = {report.total_weight - 1} "
+            f"identity order {report.order_text()} does not divide "
+            f"W - 1 = {int_text(report.total_weight - 1)} "
             f"for {_spec_name(report.n, report.generators, report.weights)}"
         )
     if report.group_kind == "cyclic" and report.det_value != 0:

@@ -3,15 +3,15 @@
 Matrices come dense (``IntMatrix``) or as sparse rows (``SparseIntMatrix``,
 the form graphs give I - A^t in); the determinant and the Smith core take
 either.  Everything here works with arbitrary-precision Python ints: Smith
-diagonals (sparse ±1 pivots in Markowitz order, a diagonalizing
-elimination of the dense remainder, then a gcd/lcm pass that chains the
-diagonal), determinants (sparse ±1 pivots in Markowitz order, then
-fraction-free Bareiss elimination on the dense remainder), rank, matrix
-powers, and cokernels presented as finitely generated abelian groups in
-invariant-factor form.  The two sparse phases share only ``_pivot_rows``,
-which copies the input rows and decides whether any pivot could pay; each
-eliminates on its own copy with its own code, so det stays an independent
-witness of the Smith form.
+diagonals (sparse ±1 pivots in Markowitz order, a column-local Euclid with
+nearest-integer quotients that diagonalizes the dense remainder, then a
+gcd/lcm pass that chains the diagonal), determinants (sparse ±1 pivots in
+Markowitz order, then fraction-free Bareiss elimination on the dense
+remainder), rank, matrix powers, and cokernels presented as finitely
+generated abelian groups in invariant-factor form.  The two sparse phases
+share only ``_pivot_rows``, which copies the input rows and decides
+whether any pivot could pay; each eliminates on its own copy with its own
+code, so det stays an independent witness of the Smith form.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
@@ -134,6 +135,20 @@ class SparseIntMatrix:
 Matrix = IntMatrix | SparseIntMatrix
 
 
+def int_text(x: int) -> str:
+    """Decimal text of x, of any length.
+
+    ``str`` refuses ints longer than the interpreter's digit limit (4300
+    digits by default), which a determinant or invariant factor of a large
+    spec passes; ``Decimal`` converts exactly and has no such limit.  The
+    limit itself is left alone: it belongs to the whole process.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        return str(Decimal(x))
+
+
 @dataclass(frozen=True)
 class FinAbGroup:
     """Finitely generated abelian group in invariant-factor normal form.
@@ -197,7 +212,7 @@ class FinAbGroup:
 
     def display(self) -> str:
         """Human string: torsion factors "Z_k" joined by " + ", free part "Z"/"Z^r"."""
-        parts = [f"Z_{t}" for t in self.torsion]
+        parts = [f"Z_{int_text(t)}" for t in self.torsion]
         if self.free_rank == 1:
             parts.append("Z")
         elif self.free_rank > 1:
@@ -208,23 +223,6 @@ class FinAbGroup:
         return self.display()
 
 
-def _min_abs_pivot(a: list[list[int]], t: int, rows: int, cols: int):
-    """Position of a nonzero entry of minimal |value| in the submatrix a[t:, t:]."""
-    best = None
-    best_abs = None
-    for i in range(t, rows):
-        ai = a[i]
-        for j in range(t, cols):
-            x = ai[j]
-            if x != 0:
-                ax = -x if x < 0 else x
-                if best_abs is None or ax < best_abs:
-                    best, best_abs = (i, j), ax
-                    if ax == 1:
-                        return best
-    return best
-
-
 def _diagonalize(a: list[list[int]], cols: int) -> None:
     """Reduce the first ``cols`` columns of a to a diagonal in place.
 
@@ -233,46 +231,72 @@ def _diagonalize(a: list[list[int]], cols: int) -> None:
     vec, they end as u*vec, where u is the left transform that, with some
     column transform on the right, takes the matrix to this diagonal.
 
-    Pivots are chosen with minimal absolute value to limit coefficient
-    growth.  On return the diagonal entries may be negative and need not
+    Step t alternates two moves until row and column t are clear.  The
+    column move is Euclid down column t: the least |x| from row t down
+    becomes the pivot p (a ±1 ends the search), and every other row gives
+    up the nearest-integer multiple of the pivot row, so each remainder has
+    |r| <= |p|/2; this repeats until column t is zero below p.  No search
+    looks past column t.  Then row t is the only row with a nonzero in
+    column t, so a column operation changes row t alone: the row move
+    reduces each a[t][j] to its nearest remainder mod p in place, with no
+    loop over rows.  If a remainder is left, the column holding the least
+    one swaps into t, and the column move starts again on a smaller pivot.
+    Rows above t hold zeros in every column >= t, so column swaps skip them.
+    A column that is zero from row t down is swapped out for one that is
+    not.  On return the diagonal entries may be negative and need not
     divide each other; zeros trail.
     """
     rows = len(a)
     for t in range(min(rows, cols)):
-        pos = _min_abs_pivot(a, t, rows, cols)
-        if pos is None:
-            break
-        while pos is not None:
-            pi, pj = pos
+        while True:
+            pi, least = t, 0
+            for i in range(t, rows):
+                x = a[i][t]
+                if x:
+                    if x < 0:
+                        x = -x
+                    if not least or x < least:
+                        pi, least = i, x
+                        if x == 1:
+                            break
+            if not least:
+                j = next((j for j in range(t + 1, cols) if any(row[j] for row in a[t:])), None)
+                if j is None:
+                    return
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+                continue
             if pi != t:
                 a[t], a[pi] = a[pi], a[t]
-            # Column operations skip rows above t: they hold 0 in every column >= t.
-            if pj != t:
-                for row in a[t:]:
-                    row[t], row[pj] = row[pj], row[t]
-            pivot = a[t][t]
-            dirty = False
             at = a[t]
+            p = at[t]
+            tail = at[t:]
+            left = False
             for i in range(t + 1, rows):
                 ai = a[i]
                 x = ai[t]
-                if x != 0:
-                    q = x // pivot
-                    if q:
-                        ai[t:] = [p - q * r for p, r in zip(ai[t:], at[t:])]
-                    if ai[t] != 0:
-                        dirty = True
+                if x:
+                    q = (2 * x + p) // (2 * p)  # nearest integer to x / p
+                    ai[t:] = [y - q * z for y, z in zip(ai[t:], tail)]
+                    if ai[t]:
+                        left = True
+            if left:
+                continue
+            least = 0
             for j in range(t + 1, cols):
                 x = at[j]
-                if x != 0:
-                    q = x // pivot
-                    if q:
-                        for row in a[t:]:
-                            row[j] -= q * row[t]
-                    if at[j] != 0:
-                        dirty = True
-            # Remainders smaller than |pivot| were created; re-pivot on them.
-            pos = _min_abs_pivot(a, t, rows, cols) if dirty else None
+                if x:
+                    x -= (2 * x + p) // (2 * p) * p
+                    at[j] = x
+                    if x:
+                        if x < 0:
+                            x = -x
+                        if not least or x < least:
+                            pj, least = j, x
+            if not least:
+                break
+            for row in a[t:]:
+                row[t], row[pj] = row[pj], row[t]
 
 
 def _unit_pivots(m: Matrix, vec: Sequence[int] | None) -> tuple[int, list[list[int]], int]:
@@ -688,5 +712,5 @@ def read_matrix(text: str) -> IntMatrix:
 def write_matrix(m: IntMatrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
     for i in range(m.rows):
-        lines.append(" ".join(str(x) for x in m.row(i)))
+        lines.append(" ".join(map(int_text, m.row(i))))
     return "\n".join(lines) + "\n"

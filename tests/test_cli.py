@@ -1,14 +1,17 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 import k0lab.cli
 from k0lab.cli import main
 from k0lab.errors import InternalCheckError
+from k0lab.graphs import CayleySpec
+from k0lab.zmatrix import int_text
 
-from conftest import src_on_path
+from conftest import resultant_det, src_on_path
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +50,25 @@ class TestCayleyCommand:
         code, out, _ = run_cli(capsys, "cayley", "--n", "6", "--gens", "2,3", "--json")
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    def test_json_past_the_digit_limit(self, capsys):
+        # det has about 4,400 digits, past str's default limit of 4,300.
+        code, out, err = run_cli(capsys, "cayley", "--n", "36000", "--gens", "2,3", "--json")
+        assert code == 0, err
+        spec = CayleySpec.cyclic(36000, [2, 3])
+        assert int(Decimal(json.loads(out)["det"])) == resultant_det(spec)
+        code, text, _ = run_cli(capsys, "cayley", "--n", "36000", "--gens", "2,3")
+        assert code == 0
+        assert f"det = {int_text(resultant_det(spec))}" in text
+
+    def test_long_json_numbers(self, capsys):
+        # M_d(L(1, 3^n)) for the weighted cycle: m = 3^n is a JSON number.
+        code, out, err = run_cli(capsys, "cayley", "--n", "10000", "--gens", "1",
+                                 "--weights", "3", "--json")
+        assert code == 0, err
+        payload = json.loads(out, parse_int=lambda s: int(Decimal(s)))
+        assert payload["classification"]["m"] == 3**10000
+        assert payload["classification"]["d"] == (3**10000 - 1) // 2
 
     def test_dot_export(self, capsys, tmp_path):
         dot_file = tmp_path / "graph.dot"

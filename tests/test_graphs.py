@@ -2,6 +2,8 @@ import itertools
 import random
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -400,6 +402,23 @@ class TestMultigraphConstruction:
                 DirectedMultigraph.from_out_rows(rows)
         with pytest.raises(InvalidSpecError):
             DirectedMultigraph.from_out_rows([{0: 1}], ["a", "b"])
+
+    def test_non_int_multiplicities_refused(self):
+        for bad in (1.5, 0.0, Fraction(1), Decimal(2), "1", None):
+            with pytest.raises(InvalidSpecError):
+                DirectedMultigraph([[bad, 1], [1, 0]])
+            with pytest.raises(InvalidSpecError):
+                DirectedMultigraph.from_out_rows([{0: bad, 1: 1}, {0: 1}])
+        with pytest.raises(InvalidSpecError):
+            DirectedMultigraph.from_out_rows([{0.0: 1}, {0: 1}])  # a target, not a multiplicity
+
+    def test_bool_multiplicities_are_ints(self):
+        dense = DirectedMultigraph([[True, True], [True, False]])
+        sparse = DirectedMultigraph.from_out_rows([{0: True, 1: True}, {0: True, 1: False}])
+        for g in (dense, sparse):
+            assert g == DirectedMultigraph([[1, 1], [1, 0]])
+            assert all(type(k) is int for row in g.out_rows for k in row.values())
+            assert analyze(g).det_value == -1
 
     def test_out_rows_match_dense_rows(self):
         dense = DirectedMultigraph([[0, 2, 1], [1, 0, 0], [0, 3, 1]], ["x", "y", "z"])

@@ -145,6 +145,14 @@ class TestAnalyze:
         assert report.identity_order == 1
         assert report.method == "both"
 
+    def test_cyclic_thirty_thousand(self):
+        # The Smith step on P with 12,000-bit entries: seconds per op under
+        # floor-quotient Euclid with whole-block pivot scans, well under one now.
+        report = analyze(CayleySpec.cyclic(30_000, [2, 3]))
+        assert report.method == "companion_reduction"
+        assert report.k0.order() == abs(report.det_value)
+        assert report.identity_order == 1
+
     def test_loop_family_singular_branch(self):
         report = analyze(CayleySpec.cyclic(4, [0, 1], [3, 2]))
         assert report.det_value == 0

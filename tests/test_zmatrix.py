@@ -1,9 +1,12 @@
 import random
+import signal
+import sys
+from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd, lcm, prod
+from math import floor, gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import k0lab.zmatrix
@@ -24,6 +27,7 @@ from k0lab.zmatrix import (
     cokernel,
     cokernel_with_class,
     det,
+    int_text,
     mat_pow,
     rank,
     read_matrix,
@@ -31,10 +35,30 @@ from k0lab.zmatrix import (
     write_matrix,
 )
 
-from conftest import random_matrix, random_unimodular
+from conftest import random_matrix, random_unimodular, resultant_det
 from oracle import det_via_cofactor, lattice_membership, snf_via_determinant_divisors
 
 T6_MINUS_I = IntMatrix.from_rows([[0, 1, 2], [2, 1, 3], [1, 2, 1]])
+
+
+@pytest.fixture(autouse=True)
+def _terminates():
+    """Each test here ends within 120 s, 20 times its need: an elimination
+    whose pivot stops shrinking fails instead of hanging the suite."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("no result after 120 s: an elimination loop is not terminating")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def c6_23_matrix() -> IntMatrix:
@@ -441,6 +465,137 @@ class TestSparseSmith:
         assert [det(m) for m in mats] == expected
 
 
+@st.composite
+def _dense_with_class(draw):
+    """Up to 5 x 5 of any shape with entries in -9..9 and no bias to ±1:
+    plain, all even, or singular by a repeated row or a zero column, with a
+    class vector or none."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = [[draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rows)]
+    shape = draw(st.sampled_from(["plain", "even", "repeat_row", "zero_col"]))
+    if shape == "even":
+        entries = [[2 * x for x in row] for row in entries]
+    elif shape == "repeat_row" and rows > 1:
+        entries[0] = list(entries[-1])
+    elif shape == "zero_col":
+        k = draw(st.integers(0, cols - 1))
+        for row in entries:
+            row[k] = 0
+    vec = draw(st.none() | st.lists(st.integers(-9, 9), min_size=rows, max_size=rows))
+    return IntMatrix.from_rows(entries), vec
+
+
+def _diagonalize_corpus() -> list[tuple[IntMatrix, list[int]]]:
+    """Negative pivots, all-even, rectangular and singular matrices, and
+    companion P's with their class g, each with a class vector."""
+    mats = [
+        IntMatrix.from_rows([[-4, 6], [6, -9]]),
+        IntMatrix.from_rows([[-6, -10, 4], [-15, 9, -21], [10, -14, 6]]),
+        IntMatrix.from_rows([[-2, 3, -5, 7]]),
+        IntMatrix.from_rows([[-3], [5], [-7], [-4]]),
+        IntMatrix.from_rows([[2, 4, 6], [8, 10, 12], [14, 16, 20]]),
+        IntMatrix.from_rows([[4, -8, 12, 0], [-6, 10, 2, 8]]),
+        IntMatrix.from_rows([[0, 0, 0], [0, -6, 4], [0, 9, -6]]),
+        IntMatrix.from_rows([[0, 0], [0, 0], [0, 0]]),
+        T6_MINUS_I,
+    ]
+    out = [(m, [(-1) ** i * (i + 1) for i in range(m.rows)]) for m in mats]
+    for n, gens in [(30, [2, 3]), (41, [1, 5]), (37, [1, 2, 7]), (36, [1, 3, 4])]:
+        spec = CayleySpec.cyclic(n, gens)
+        p, g = _companion_presentation(companion_matrix(spec).char_poly, n)
+        out.append((p, g))
+    return out
+
+
+def _nearest(x: int, p: int) -> int:
+    """The nearest integer to x / p, halves rounded up, in exact rationals."""
+    return floor(Fraction(x, p) + Fraction(1, 2))
+
+
+class TestDiagonalize:
+    """_diagonalize + _invariant_factors against the oracle: determinantal
+    divisors for the diagonal, lattice membership for the class order."""
+
+    def _check(self, m: IntMatrix, vec):
+        a = m.to_lists()
+        _diagonalize(a, m.cols)
+        assert all(a[i][j] == 0 for i in range(m.rows) for j in range(m.cols) if i != j)
+        expected = _diag_by_minors(m)
+        diag, group, order = _whole_matrix_reference(m, vec)
+        assert diag == expected
+        assert group == FinAbGroup.from_invariants(expected, free_rank=m.rows - len(expected))
+        assert order == (None if vec is None else _order_by_membership(m, vec, expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dense_with_class())
+    def test_hypothesis_against_oracle(self, case):
+        self._check(*case)
+
+    def test_corpus_against_oracle(self):
+        for m, vec in _diagonalize_corpus():
+            self._check(m, vec)
+            self._check(m, None)
+
+    @staticmethod
+    def _column_euclid(a: int, b: int) -> list[list[int]]:
+        """[[a, 1, 0], [b, 0, 1]] reduced as the column move documents: the
+        lesser nonzero |entry| on top (the upper one on a tie), then the
+        nearest quotient, until the lower entry is zero."""
+        rows = [[a, 1, 0], [b, 0, 1]]
+        while rows[1][0]:
+            top, low = rows
+            if top[0] == 0 or abs(low[0]) < abs(top[0]):
+                top, low = low, top
+            q = _nearest(low[0], top[0])
+            rows = [top, [y - q * z for y, z in zip(low, top)]]
+        return rows
+
+    @staticmethod
+    def _row_euclid(p: int, x: int) -> list[int]:
+        """[p, x] reduced as the row move documents: x to its nearest
+        remainder mod p, and a remainder left swaps in as the pivot."""
+        if p == 0:
+            p, x = x, p
+        while x:
+            x -= _nearest(x, p) * p
+            if x:
+                p, x = x, p
+        return [p, x]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-60, 60), st.integers(-60, 60))
+    @example(-4, 6)  # ties against a negative pivot: x / p = -3/2, 3/2, -3/2, -5/2
+    @example(-4, -6)
+    @example(-2, 3)
+    @example(-10, 25)
+    def test_column_move_takes_nearest_quotients(self, a, b):
+        """With identity passengers the rows end as the left transform, which
+        pins every quotient taken, not only the diagonal it reaches."""
+        rows = [[a, 1, 0], [b, 0, 1]]
+        _diagonalize(rows, 1)
+        assert rows == self._column_euclid(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-60, 60), st.integers(-60, 60))
+    @example(-4, 6)  # ties against a negative pivot: x / p = -3/2, 3/2, -3/2, -5/2
+    @example(-4, -6)
+    @example(-2, 3)
+    @example(-10, 25)
+    def test_row_move_takes_nearest_remainders(self, p, x):
+        """The sign of the gcd left on the diagonal pins every remainder."""
+        rows = [[p, x, 7]]
+        _diagonalize(rows, 2)
+        assert rows == [self._row_euclid(p, x) + [7]]
+
+    def test_companion_at_ten_thousand(self):
+        """P = T^n - I for S = {2, 3} at n = 10^4 has 4,000-bit entries."""
+        spec = CayleySpec.cyclic(10**4, [2, 3])
+        p, g = _companion_presentation(companion_matrix(spec).char_poly, spec.n)
+        diag, group, order = cokernel_with_class(p, g)
+        assert prod(diag) == group.order() == abs(resultant_det(spec))
+        assert order == 1
+
+
 class TestSparseInput:
     """det and the Smith core take I - A^t as sparse rows and as a dense IntMatrix alike."""
 
@@ -601,6 +756,20 @@ class TestFinAbGroup:
         g = FinAbGroup.from_invariants(twos, free_rank=free)
         assert g.free_rank == free
         assert all(b % a == 0 for a, b in zip(g.torsion, g.torsion[1:]))
+
+
+class TestIntText:
+    def test_matches_str_within_the_limit(self):
+        for x in (0, 7, -7, 10**40, -(10**40)):
+            assert int_text(x) == str(x)
+
+    def test_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        x = 10 ** (limit + 10) + 123
+        assert int_text(x) == "1" + "0" * (limit + 7) + "123"
+        assert int_text(-x) == "-" + int_text(x)
+        assert FinAbGroup((x,)).display() == "Z_" + int_text(x)
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestMatrixFile:
