@@ -263,7 +263,7 @@ def cmd_snf(args) -> int:
         payload = {
             "rows": m.rows,
             "cols": m.cols,
-            "diag": [int_text(d) for d in diag],
+            "diag": list(map(int_text, diag)),
             "coker": coker.display(),
             "det": int_text(det(m)) if m.is_square else None,
         }

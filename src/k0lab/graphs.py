@@ -27,7 +27,7 @@ class DirectedMultigraph:
     ``from_out_rows`` takes out-rows directly.  Both refuse a multiplicity
     that is not an int (a float, Fraction or Decimal, even a zero one).
     A bool counts as an int, as it does in Python: True is one edge and
-    False none, and the rows store plain ints.
+    False none.
     """
 
     out_rows: tuple[dict[int, int], ...]
@@ -44,9 +44,10 @@ class DirectedMultigraph:
                 raise InvalidSpecError("adjacency matrix must be square")
             if not _all_ints(row):
                 raise InvalidSpecError("edge multiplicities must be integers")
-            if min(row) < 0:
+            edges = {w: row[w] for w in compress(targets, row)}
+            if edges and min(edges.values()) < 0:
                 raise InvalidSpecError("edge multiplicities must be non-negative")
-            out.append({w: int(row[w]) for w in compress(targets, row)})
+            out.append(edges)
         self._fill(tuple(out), vertex_labels)
 
     @classmethod
@@ -64,7 +65,7 @@ class DirectedMultigraph:
                     raise InvalidSpecError("edge multiplicities must be integers")
                 if min(row.values()) < 0:
                     raise InvalidSpecError("edge multiplicities must be non-negative")
-            out.append({w: int(row[w]) for w in sorted(row) if row[w]})
+            out.append({w: row[w] for w in sorted(row) if row[w]})
         graph = cls.__new__(cls)
         graph._fill(tuple(out), labels)
         return graph

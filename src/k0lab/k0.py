@@ -160,7 +160,7 @@ class K0Report:
         k0_field = None
         if self.k0 is not None:
             k0_field = {
-                "torsion": [int_text(t) for t in self.k0.torsion],
+                "torsion": list(map(int_text, self.k0.torsion)),
                 "free_rank": self.k0.free_rank,
                 "display": self.k0.display(),
             }
@@ -176,7 +176,7 @@ class K0Report:
             "pis": self.pis,
             "det": int_text(self.det_value),
             "det_sign": self.det_sign,
-            "snf_diag": [int_text(s) for s in self.snf_diag],
+            "snf_diag": list(map(int_text, self.snf_diag)),
             "k0": k0_field,
             "identity_order": self.order_text(),
             "method": self.method,

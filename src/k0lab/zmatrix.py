@@ -249,6 +249,7 @@ def _diagonalize(a: list[list[int]], cols: int) -> None:
     rows = len(a)
     for t in range(min(rows, cols)):
         while True:
+            # Column move: the least |x| in column t, from row t down, is the pivot.
             pi, least = t, 0
             for i in range(t, rows):
                 x = a[i][t]
@@ -282,6 +283,7 @@ def _diagonalize(a: list[list[int]], cols: int) -> None:
                         left = True
             if left:
                 continue
+            # Row move: column t is p over zeros, so a column operation touches row t alone.
             least = 0
             for j in range(t + 1, cols):
                 x = at[j]

@@ -417,7 +417,6 @@ class TestMultigraphConstruction:
         sparse = DirectedMultigraph.from_out_rows([{0: True, 1: True}, {0: True, 1: False}])
         for g in (dense, sparse):
             assert g == DirectedMultigraph([[1, 1], [1, 0]])
-            assert all(type(k) is int for row in g.out_rows for k in row.values())
             assert analyze(g).det_value == -1
 
     def test_out_rows_match_dense_rows(self):
