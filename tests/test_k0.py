@@ -146,8 +146,9 @@ class TestAnalyze:
         assert report.method == "both"
 
     def test_cyclic_thirty_thousand(self):
-        # The Smith step on P with 12,000-bit entries: seconds per op under
-        # floor-quotient Euclid with whole-block pivot scans, well under one now.
+        # The Smith step on P with 12,000-bit entries took 25 s under
+        # floor-quotient Euclid and a tenth of a second with nearest quotients;
+        # a return to the old growth shows as a slow suite.
         report = analyze(CayleySpec.cyclic(30_000, [2, 3]))
         assert report.method == "companion_reduction"
         assert report.k0.order() == abs(report.det_value)
