@@ -14,8 +14,10 @@ import argparse
 import csv
 import io
 import sys
+from itertools import combinations, islice, product
+from math import gcd
 from multiprocessing import Pool
-from typing import Callable
+from typing import Callable, Iterator
 
 from .classify import dihedral_theorem_row, kp_compare
 from .errors import (
@@ -174,36 +176,33 @@ def _scan_worker(job) -> dict:
     return row
 
 
-def _scan_jobs(args) -> list[tuple]:
-    from itertools import combinations, product
-    from math import gcd
-
+def _scan_params(args) -> Iterator[tuple]:
+    """The scan's jobs, (family, params), lazily and in output order."""
     if args.n_min > args.n_max or args.n_min < 1:
         raise UsageError("need 1 <= n-min <= n-max")
     ns = range(args.n_min, args.n_max + 1)
     family = args.family
-    jobs: list[tuple] = []
     if family == "dihedral":
-        jobs = [("dihedral", (n,)) for n in ns]
+        yield from (("dihedral", (n,)) for n in ns)
     elif family == "complete":
         if args.loops < 1:
             raise UsageError("--loops must be positive")
-        jobs = [("complete", (n, args.loops)) for n in ns]
+        yield from (("complete", (n, args.loops)) for n in ns)
     elif family == "k_cycle":
         if args.w_min > args.w_max or args.w_min < 1:
             raise UsageError("need 1 <= w-min <= w-max")
-        jobs = [("k_cycle", (n, w)) for n in ns for w in range(args.w_min, args.w_max + 1)]
+        yield from (("k_cycle", (n, w)) for n in ns for w in range(args.w_min, args.w_max + 1))
     elif family == "s01":
         for bound, name in ((args.a_min, "a-min"), (args.b_min, "b-min")):
             if bound < 1:
                 raise UsageError(f"--{name} must be positive")
-        jobs = [
+        yield from (
             ("s01", (n, a, b))
             for n in ns
             if n >= 2
             for a in range(args.a_min, args.a_max + 1)
             for b in range(args.b_min, args.b_max + 1)
-        ]
+        )
     elif family == "cyclic_s":
         if args.max_gens < 1:
             raise UsageError("--max-gens must be positive")
@@ -215,13 +214,18 @@ def _scan_jobs(args) -> list[tuple]:
                     if gcd(n, *gens) != 1:
                         continue
                     for weights in product(range(1, args.max_weight + 1), repeat=size):
-                        jobs.append(("cyclic_s", (n, gens, weights)))
+                        yield ("cyclic_s", (n, gens, weights))
     else:
         raise UsageError(f"unknown family {family!r}")
+
+
+def _scan_jobs(args) -> list[tuple]:
+    """The scan's jobs, refused as soon as their count passes ``--cap``."""
+    jobs = list(islice(_scan_params(args), max(args.cap, 0) + 1))
     if not jobs:
         raise UsageError("scan ranges produced no instances")
     if len(jobs) > args.cap:
-        raise UsageError(f"scan would visit {len(jobs)} instances, over the cap {args.cap}")
+        raise UsageError(f"scan would visit more than {args.cap} instances, over the cap")
     return jobs
 
 
@@ -276,6 +280,10 @@ def cmd_snf(args) -> int:
     return EXIT_OK
 
 
+_DESCRIPTOR_KEYS = {"cyclic": {"n", "gens", "weights", "w"}, "dihedral": {"n"},
+                    "complete": {"n", "l"}, "kcycle": {"n", "w"}}
+
+
 def _parse_descriptor(text: str) -> CayleySpec:
     """Spec mini-language: family:key=value:...
 
@@ -290,6 +298,11 @@ def _parse_descriptor(text: str) -> CayleySpec:
             raise UsageError(f"bad descriptor segment {part!r} in {text!r}")
         key, _, value = part.partition("=")
         kv[key] = value
+    if family not in _DESCRIPTOR_KEYS:
+        raise UsageError(f"unknown spec family {family!r}")
+    for key in kv:
+        if key not in _DESCRIPTOR_KEYS[family]:
+            raise UsageError(f"descriptor {text!r}: {family} takes no key {key!r}")
 
     def need_int(key: str) -> int:
         if key not in kv:
@@ -315,9 +328,7 @@ def _parse_descriptor(text: str) -> CayleySpec:
         return CayleySpec.dihedral(need_int("n"))
     if family == "complete":
         return CayleySpec.complete(need_int("n"), need_int("l"))
-    if family == "kcycle":
-        return CayleySpec.cyclic(need_int("n"), [1], [need_int("w")])
-    raise UsageError(f"unknown spec family {family!r}")
+    return CayleySpec.cyclic(need_int("n"), [1], [need_int("w")])  # kcycle
 
 
 def cmd_compare(args) -> int:

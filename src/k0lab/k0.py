@@ -16,7 +16,6 @@ products, with no matrix power.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 from math import gcd
 
@@ -34,11 +33,9 @@ from .graphs import (
     is_strongly_connected,
 )
 # ``cokernel`` is not called here; it stays a module name that bench/tracer.py wraps.
-from .zmatrix import FinAbGroup, IntMatrix, cokernel, cokernel_with_class, det  # noqa: F401
-from .zmatrix import int_text
+from .zmatrix import FinAbGroup, IntMatrix, cokernel, cokernel_with_class, det, int_text  # noqa: F401
 
-DEFAULT_CROSSCHECK_LIMIT = 24
-CROSSCHECK_ENV = "K0LAB_CROSSCHECK_LIMIT"
+CROSSCHECK_LIMIT = 24  # auto runs both reductions up to this n, the companion one past it
 
 
 @dataclass(frozen=True)
@@ -56,22 +53,34 @@ class CompanionMatrix:
 
 def companion_matrix(spec: CayleySpec) -> CompanionMatrix:
     """Companion matrix of the weight recursion for a cyclic spec with 0 not in S."""
-    if not spec.is_cyclic:
+    _require_companion(spec)
+    h = _char_poly(spec.gens, spec.weights)
+    sk = h.degree()
+    rows = [[int(j == i - 1) for j in range(sk - 1)] + [-h.coeffs[i]] for i in range(sk)]
+    return CompanionMatrix(sk, IntMatrix.from_rows(rows), h)
+
+
+def _char_poly(gens: tuple[int, ...], weights: tuple[int, ...]) -> circ.IntPolynomial:
+    """h = x^{s_k} - sum_j w_j x^{s_k - s_j}, the characteristic polynomial of T."""
+    sk = max(gens)
+    coeffs = [0] * (sk + 1)
+    coeffs[sk] = 1
+    for s, w in zip(gens, weights):
+        coeffs[sk - s] -= w
+    return circ.IntPolynomial.of(coeffs)
+
+
+def _require_companion(spec: CayleySpec | None, pis: bool = True) -> None:
+    """Refuse what the companion reduction does not cover: a spec that is not
+    cyclic, then W < 2 (when ``pis`` is false), then 0 in S."""
+    if spec is None or not spec.is_cyclic:
         raise InvalidSpecError("companion reduction needs a cyclic-group spec")
+    if not pis:
+        raise InvalidSpecError("companion reduction assumes total weight >= 2")
     if 0 in spec.gens:
         raise InvalidSpecError(
             "companion reduction requires 0 not in S; use the full Smith path"
         )
-    sk = max(spec.gens)
-    rows = [[0] * sk for _ in range(sk)]
-    for i in range(1, sk):
-        rows[i][i - 1] = 1
-    coeffs = [0] * (sk + 1)
-    coeffs[sk] = 1
-    for s, w in zip(spec.gens, spec.weights):
-        rows[sk - s][sk - 1] += w
-        coeffs[sk - s] -= w
-    return CompanionMatrix(sk, IntMatrix.from_rows(rows), circ.IntPolynomial.of(coeffs))
 
 
 def _require_generating(spec: CayleySpec, graph: DirectedMultigraph | None) -> None:
@@ -218,21 +227,6 @@ class K0Report:
         return "\n".join(lines) + "\n"
 
 
-def crosscheck_limit() -> int:
-    """The cross-check size limit from the environment; a malformed value is rejected."""
-    raw = os.environ.get(CROSSCHECK_ENV)
-    if raw is None:
-        return DEFAULT_CROSSCHECK_LIMIT
-    malformed = f"{CROSSCHECK_ENV} must be a non-negative integer, got {raw!r}"
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidSpecError(malformed) from None
-    if value < 0:
-        raise InvalidSpecError(malformed)
-    return value
-
-
 def analyze(
     target: CayleySpec | DirectedMultigraph,
     method: str = "auto",
@@ -241,16 +235,17 @@ def analyze(
 
     ``method`` selects the reduction: "full" (n x n Smith form),
     "companion" (s_k x s_k shortcut, cyclic specs with 0 not in S only),
-    "both" (run both and insist they agree), or "auto" (both up to the
-    cross-check size limit, companion beyond it, full when the shortcut
-    does not apply).  The companion method takes K0, the order of [1] and
-    det(I - A^t) from P = T^n - I and builds no n x n graph or matrix;
-    "both" also derives the order of [1] from P and checks it against the
-    full reduction, but reports the resultant det.
+    "both" (run both and insist they agree), or "auto" (both for n up to
+    ``CROSSCHECK_LIMIT``, companion beyond it, full when the shortcut does
+    not apply).  The companion methods take K0, the order of [1], the
+    Smith diagonal and det(I - A^t) = (-1)^{s_k} det P from P = T^n - I,
+    built from h alone, and build no n x n graph or matrix; "both" also
+    runs the full reduction and checks K0 and the order of [1] against it.
+    ``det`` shares no elimination with either Smith reduction, so
+    |K0| = |det| stays a witness.
     """
     if method not in ("auto", "full", "companion", "both"):
         raise ValueError(f"unknown method {method!r}")
-    limit = crosscheck_limit()
 
     spec: CayleySpec | None
     graph: DirectedMultigraph | None
@@ -273,57 +268,44 @@ def analyze(
     companion_ok = spec is not None and spec.is_cyclic and 0 not in spec.gens and pis
     if method == "auto":
         if companion_ok:
-            method = "both" if n <= limit else "companion_reduction"
+            method = "both" if n <= CROSSCHECK_LIMIT else "companion_reduction"
         else:
             method = "full_snf"
     elif method == "full":
         method = "full_snf"
     elif method == "companion":
-        if spec is None or not spec.is_cyclic:
-            raise InvalidSpecError("companion reduction needs a cyclic-group spec")
-        if not pis:
-            raise InvalidSpecError("companion reduction assumes total weight >= 2")
+        _require_companion(spec, pis)
         method = "companion_reduction"
-    else:
-        if not companion_ok:
-            raise InvalidSpecError("method 'both' needs a cyclic spec with 0 not in S and W >= 2")
-        method = "both"
+    elif not companion_ok:
+        raise InvalidSpecError("method 'both' needs a cyclic spec with 0 not in S and W >= 2")
 
-    # companion_matrix raises when 0 is a generator, which only method="companion" lets through.
-    h = companion_matrix(spec).char_poly if method != "full_snf" else None
-    if method == "companion_reduction":
-        p, g = _companion_presentation(h, n)
+    if method != "full_snf":
+        p, g = _companion_presentation(_char_poly(spec.gens, spec.weights), n)
         diag, k0_result, order = cokernel_with_class(p, g)
         det_value = (-1) ** max(spec.gens) * det(p)
-    else:
+    if method != "companion_reduction":
         if graph is None:
             graph = build_cayley(spec)
         m = graph.i_minus_at()
-        det_value = circ.cayley_det(spec) if spec is not None and spec.is_cyclic else det(m)
-        if pis:
-            # One Smith reduction serves the full cokernel and the order of
-            # the all-ones class.
-            diag, k0_result, order = cokernel_with_class(m, [1] * n)
-            if method == "both":
-                diag, k0_companion, order_companion = cokernel_with_class(
-                    *_companion_presentation(h, n)
-                )
-                named = _spec_name(n, spec.gens, spec.weights)
-                if k0_companion != k0_result:
-                    raise InternalCheckError(
-                        f"companion reduction disagrees with the full Smith form: "
-                        f"{k0_companion.display()} vs {k0_result.display()} for {named}"
-                    )
-                if order_companion != order:
-                    raise InternalCheckError(
-                        f"identity order from the companion side disagrees with the full "
-                        f"Smith form: {order_companion} vs {order} for {named}"
-                    )
+        # One Smith reduction serves the full cokernel and the order of the
+        # all-ones class.  Off pure infinite simplicity the K-theory fields
+        # mean nothing; the matrix facts are still reported.
+        full_diag, k0_full, order_full = cokernel_with_class(m, [1] * n if pis else None)
+        if method == "full_snf":
+            diag, k0_result, order = full_diag, k0_full if pis else None, order_full
+            det_value = circ.cayley_det(spec) if spec is not None and spec.is_cyclic else det(m)
         else:
-            # K-theory fields are only meaningful under pure infinite
-            # simplicity; the matrix facts are still reported.
-            diag = cokernel_with_class(m)[0]
-            k0_result = order = None
+            named = _spec_name(n, spec.gens, spec.weights)
+            if k0_result != k0_full:
+                raise InternalCheckError(
+                    f"companion reduction disagrees with the full Smith form: "
+                    f"{k0_result.display()} vs {k0_full.display()} for {named}"
+                )
+            if order != order_full:
+                raise InternalCheckError(
+                    f"identity order from the companion side disagrees with the full "
+                    f"Smith form: {order} vs {order_full} for {named}"
+                )
     identity_order = ("infinite" if order is None else order) if pis else None
     det_sign = (det_value > 0) - (det_value < 0)
 
@@ -459,10 +441,7 @@ def verify_Tn_structure(d1: int, d2: int, n: int) -> bool:
         raise InvalidSpecError("d1 and d2 must be coprime")
     if n < 1:
         raise InvalidSpecError("n must be positive")
-    coeffs = [0] * (d2 + 1)
-    coeffs[0] = coeffs[d2 - d1] = -1
-    coeffs[d2] = 1  # x^{d2} - x^{d2 - d1} - 1, the char poly of T for S = {d1, d2}
-    p = _companion_presentation(circ.IntPolynomial.of(coeffs), n)[0]
+    p = _companion_presentation(_char_poly((d1, d2), (1, 1)), n)[0]
     cache: dict[int, int] = {}
     k = d2 - d1
     for i in range(1, d2 + 1):

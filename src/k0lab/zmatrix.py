@@ -16,6 +16,7 @@ code, so det stays an independent witness of the Smith form.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -677,6 +678,9 @@ def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
     return result
 
 
+_PLAIN_INT = re.compile(r"[+-]?[0-9]+")
+
+
 def read_matrix(text: str) -> IntMatrix:
     """Parse the matrix text format: "rows cols" then that many rows of entries."""
     lines = text.splitlines()
@@ -703,9 +707,13 @@ def read_matrix(text: str) -> IntMatrix:
         if len(parts) != cols:
             raise MatrixFormatError(f"expected {cols} entries, found {len(parts)}", lineno)
         try:
-            out.append([int(p) for p in parts])
+            try:
+                row = [int(p) for p in parts]
+            except ValueError:  # plain decimals past the digit limit go through Decimal
+                row = [int(Decimal(p)) if _PLAIN_INT.fullmatch(p) else int(p) for p in parts]
         except ValueError:
             raise MatrixFormatError("entries must be integers", lineno) from None
+        out.append(row)
     if len(out) != rows:
         raise MatrixFormatError(f"expected {rows} rows, found {len(out)}", lineno + 1)
     return IntMatrix.from_rows(out)

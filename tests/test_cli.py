@@ -9,7 +9,7 @@ import k0lab.cli
 from k0lab.cli import main
 from k0lab.errors import InternalCheckError
 from k0lab.graphs import CayleySpec
-from k0lab.zmatrix import int_text
+from k0lab.zmatrix import IntMatrix, int_text, write_matrix
 
 from conftest import resultant_det, src_on_path
 
@@ -192,6 +192,16 @@ class TestSnfCommand:
         assert (code, out) == (65, "")
         assert err.startswith("k0lab: bad input file: ") and err.count("\n") == 1
 
+    def test_entries_past_the_digit_limit_round_trip(self, capsys, tmp_path):
+        big = 10**5000 + 1
+        f = tmp_path / "m.txt"
+        f.write_text(write_matrix(IntMatrix.from_rows([[big, 0], [0, -big]])))
+        code, out, err = run_cli(capsys, "snf", "--in", str(f), "--json")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["diag"] == [int_text(big), int_text(big)]
+        assert data["det"] == int_text(-big * big)
+
 
 class TestScanCommand:
     def test_dihedral_rows_match_theorem(self, capsys):
@@ -241,6 +251,26 @@ class TestScanCommand:
         assert code == 64
         assert out == ""
         assert "cap" in err
+
+    def test_cap_checked_while_enumerating(self):
+        # 12,421,016 instances: listing them all before the cap check took
+        # gigabytes, so the child's address space is capped well below that.
+        script = (
+            "import resource, sys\n"
+            "limit = 512 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from k0lab.cli import main\n"
+            "sys.exit(main(['scan', '--family', 'cyclic_s', '--n-max', '40',\n"
+            "               '--max-gens', '4', '--max-weight', '2']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=src_on_path(),
+            timeout=300,
+        )
+        assert (proc.returncode, proc.stdout) == (64, ""), proc.stderr
+        assert proc.stderr == (
+            "k0lab: usage error: scan would visit more than 100000 instances, over the cap\n"
+        )
 
     def test_complete_family_rejects_nonpositive_loops(self, capsys):
         for loops in ("0", "-1"):
@@ -303,6 +333,15 @@ class TestCompareCommand:
     def test_non_pis_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "compare", "kcycle:n=4:w=1", "cyclic:n=6:gens=2,3")
         assert code == 3
+
+    def test_descriptor_refuses_unknown_key(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "cyclic:n=6:gens=2,3:weight=2,1",
+                                 "cyclic:n=6:gens=2,3")
+        assert (code, out) == (64, "")
+        assert "takes no key 'weight'" in err
+        for descriptor in ("dihedral:n=5:w=2", "complete:n=3:l=1:gens=1", "kcycle:n=4:w=3:l=1"):
+            code, out, _ = run_cli(capsys, "compare", descriptor, "dihedral:n=5")
+            assert (code, out) == (64, "")
 
     def test_bad_descriptor(self, capsys):
         code, _, _ = run_cli(capsys, "compare", "cyclic:n=6", "dihedral:n=5")

@@ -83,8 +83,7 @@ CLI_RUNS = [
 ]
 
 
-def test_outputs_match_golden_digest(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("K0LAB_CROSSCHECK_LIMIT", raising=False)
+def test_outputs_match_golden_digest(capsys, tmp_path):
     digest = hashlib.sha256()
 
     def record(text):
@@ -137,8 +136,7 @@ def _large_cyclic_specs():
         yield n, gens, tuple(rng.randint(1, 3) for _ in gens)
 
 
-def test_large_cyclic_outputs_match_golden_digest(monkeypatch):
-    monkeypatch.delenv("K0LAB_CROSSCHECK_LIMIT", raising=False)
+def test_large_cyclic_outputs_match_golden_digest():
     digest = hashlib.sha256()
     for n, gens, weights in _large_cyclic_specs():
         try:

@@ -188,16 +188,42 @@ class TestAnalyze:
         with pytest.raises(InvalidSpecError):
             analyze(CayleySpec.cyclic(5, [0, 1]), method="companion")
 
-    def test_crosscheck_limit_env(self, monkeypatch):
-        monkeypatch.setenv("K0LAB_CROSSCHECK_LIMIT", "4")
-        report = analyze(C6_23)
-        assert report.method == "companion_reduction"
-        monkeypatch.setenv("K0LAB_CROSSCHECK_LIMIT", "24")
-        assert analyze(C6_23).method == "both"
-        for bad in ("abc", "-1"):
-            monkeypatch.setenv("K0LAB_CROSSCHECK_LIMIT", bad)
-            with pytest.raises(InvalidSpecError, match=f"K0LAB_CROSSCHECK_LIMIT.*'{bad}'"):
-                analyze(C6_23)
+    def test_crosscheck_limit_is_fixed(self, monkeypatch):
+        # auto cross-checks up to n = 24 and no further; the environment has no say.
+        at, past = CayleySpec.cyclic(24, [2, 3]), CayleySpec.cyclic(25, [2, 3])
+        for value in (None, "4", "abc"):
+            if value is None:
+                monkeypatch.delenv("K0LAB_CROSSCHECK_LIMIT", raising=False)
+            else:
+                monkeypatch.setenv("K0LAB_CROSSCHECK_LIMIT", value)
+            assert (analyze(at).method, analyze(past).method) == ("both", "companion_reduction")
+
+    def test_companion_side_takes_h_alone(self, monkeypatch):
+        specs = [C6_23, CayleySpec.cyclic(30, [2, 3], [2, 1]), CayleySpec.cyclic(40, [1, 4, 8])]
+        methods = ("companion", "both")
+        expected = [analyze(spec, method).to_json_dict() for spec in specs for method in methods]
+
+        def forbidden(spec):
+            raise AssertionError("analyze built the companion matrix T")
+
+        monkeypatch.setattr(k0lab.k0, "companion_matrix", forbidden)
+        got = [analyze(spec, method).to_json_dict() for spec in specs for method in methods]
+        assert got == expected
+
+    def test_both_takes_det_from_p(self, monkeypatch):
+        specs = [C6_23, CayleySpec.cyclic(24, [3, 4], [1, 2]), CayleySpec.cyclic(12, [1, 5])]
+        expected = [analyze(spec, method="full") for spec in specs]
+
+        def forbidden(spec):
+            raise AssertionError("the degree-n resultant on the 'both' path")
+
+        monkeypatch.setattr(k0lab.circulant, "cayley_det", forbidden)
+        for spec, full in zip(specs, expected):
+            report = analyze(spec, method="both")
+            assert (report.det_value, report.k0, report.identity_order) == (
+                full.det_value, full.k0, full.identity_order
+            )
+            assert len(report.snf_diag) == max(spec.gens)
 
     def test_non_generating(self):
         with pytest.raises(NotGeneratingError):
@@ -268,7 +294,6 @@ class TestReportWitnesses:
             _validate_report(flipped)
 
     def test_companion_path_past_limit_is_witnessed(self, monkeypatch):
-        monkeypatch.delenv("K0LAB_CROSSCHECK_LIMIT", raising=False)
         spec = CayleySpec.cyclic(40, [3, 7], [1, 2])
         report = analyze(spec)
         # W - 1 = 2, so a doubled order (4) cannot divide it.
@@ -476,7 +501,6 @@ class TestCompanionAgreesWithFull:
         assert checked > 0
 
     def test_auto_past_limit_builds_no_graph(self, monkeypatch):
-        monkeypatch.delenv("K0LAB_CROSSCHECK_LIMIT", raising=False)
         specs = [
             CayleySpec.cyclic(40, gens, weights)
             for gens, weights in [

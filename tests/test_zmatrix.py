@@ -792,9 +792,11 @@ class TestMatrixFile:
         assert exc.value.line == 3
 
     def test_non_integer_entry(self):
-        with pytest.raises(MatrixFormatError) as exc:
-            read_matrix("1 2\n1 x\n")
-        assert exc.value.line == 2
+        # Past the digit limit only plain ASCII decimals are read through Decimal.
+        for token in ("x", "1.5", "1e3", "0x10", "--1", "1" * 5000 + "a", "\u0661" * 5000):
+            with pytest.raises(MatrixFormatError, match="^line 2: entries must be integers$") as exc:
+                read_matrix(f"1 2\n1 {token}\n")
+            assert exc.value.line == 2
 
     def test_missing_rows(self):
         with pytest.raises(MatrixFormatError):
