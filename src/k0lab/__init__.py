@@ -1,6 +1,7 @@
 """k0lab: Grothendieck groups of Leavitt path algebras of weighted Cayley graphs.
 
-Exact integer Smith normal forms, circulant determinants via resultants,
+Exact integer Smith normal forms, circulant determinants via resultants
+(for a cyclic Cayley spec from x^n mod f, with no degree-n polynomial),
 the companion-matrix cokernel reduction, and restricted
 Kirchberg-Phillips classification.
 """

@@ -1,9 +1,13 @@
 """Circulant matrices and integer polynomial machinery.
 
 A circulant is determined by its first row; its determinant is the product
-of the representer polynomial over all n-th roots of unity, computed here
-exactly as a resultant against x^n - 1.  Singularity is decided by exact
-cyclotomic divisibility, never by floating point.
+of the representer polynomial over all n-th roots of unity, which
+``circulant_det`` computes exactly as a resultant against x^n - 1.  For
+the circulant I - A^t of a weighted Cayley graph over Z_n, ``cayley_det``
+takes the same product from f = 1 - sum w(s) x^s of degree s_k: it
+reduces x^n mod f by square-and-multiply, O(s_k^2 log n) products, and
+runs the resultant on polynomials of degree at most s_k.  Singularity is
+decided by exact cyclotomic divisibility, never by floating point.
 """
 
 from __future__ import annotations
@@ -362,8 +366,90 @@ def cayley_circulant(spec) -> Circulant:
 
 
 def cayley_det(spec) -> int:
-    """det(I - A^t) for a weighted Cayley graph over Z_n, via the resultant."""
-    return circulant_det(cayley_circulant(spec))
+    """det(I - A^t) for a weighted Cayley graph over Z_n, from x^n mod f.
+
+    The value is prod f(zeta) over the n-th roots of unity zeta, with
+    f = 1 - sum_s w(s) x^s of degree s_k; it equals ``circulant_det`` of
+    ``cayley_circulant(spec)``, but no polynomial of degree above s_k is
+    built.  A factor x^j of f contributes (prod zeta)^j = (-1)^((n+1)j),
+    and a constant factor c contributes c^n.  For the rest, of degree
+    d >= 1 and leading coefficient b, the product is Res(x^n - 1, f) =
+    (-1)^(nd) Res(f, x^n - 1) = (-1)^(nd) b^(n - deg r) Res(f, r), with
+    r = (x^n - 1) mod f over Q carried as q / b^e, q over Z.  Since
+    x -> 1/x permutes the roots of unity, the reversal of f serves as well,
+    up to the sign (-1)^((n+1)d); the end with the smaller coefficient is
+    taken as b, so |b| = 1 whenever 0 is not in S.
+    """
+    if not spec.is_cyclic:
+        raise ValueError("circulant analysis needs a cyclic-group spec")
+    n = spec.n
+    f = [0] * (max(spec.gens) + 1)
+    f[0] = 1
+    for s, w in zip(spec.gens, spec.weights):
+        f[s] -= w
+    while f and f[-1] == 0:
+        f.pop()
+    if not f:
+        return 0
+    low = next(j for j, c in enumerate(f) if c)
+    content = gcd(*f)
+    f = [c // content for c in f[low:]]
+    d = len(f) - 1
+    sign = -1 if (n + 1) * low % 2 else 1
+    if d == 0:
+        return sign * (content * f[0]) ** n
+    if abs(f[0]) < abs(f[-1]):
+        f.reverse()
+        sign *= -1 if (n + 1) * d % 2 else 1
+    b = f[-1]
+    q, e = _x_pow_mod(f, n)
+    q[0] -= b**e
+    r = _trimmed(q)
+    if r.is_zero:
+        return 0
+    # Res(f, q / b^e) = Res(f, q) / b^(ed): the b-exponent nets to n - deg r - ed.
+    value = resultant(IntPolynomial(tuple(f)), r)
+    k = n - r.degree() - e * d
+    if k >= 0:
+        value *= b**k
+    else:
+        value, rest = divmod(value, b**-k)
+        if rest:
+            raise InternalCheckError("resultant not divisible by the power of lc(f)")
+    return sign * (-1) ** (n * d) * content**n * value
+
+
+def _x_pow_mod(f: list[int], n: int) -> tuple[list[int], int]:
+    """(q, e) with b^e x^n = q mod f over Z, deg q < d: square-and-multiply.
+
+    f has degree d >= 1 and leading coefficient b.  Each reduction step
+    cancels the top coefficient after scaling the rest by b, so the
+    denominator of x^n mod f stays an exact power of b and no gcd is taken.
+    """
+    d = len(f) - 1
+    b = f[-1]
+    low = f[:-1]
+    q = [1] + [0] * (d - 1)
+    e = 0
+    for bit in bin(n)[2:]:
+        c = [0] * (2 * d)  # q^2, times x when the bit is set
+        shift = bit == "1"
+        for i, a in enumerate(q):
+            if a:
+                for j, a2 in enumerate(q, i + shift):
+                    c[j] += a * a2
+        e *= 2
+        for top in range(2 * d - 1, d - 1, -1):
+            t = c[top]
+            if t:
+                if b != 1:
+                    for i in range(top):
+                        c[i] *= b
+                    e += 1
+                for i, a in enumerate(low, top - d):
+                    c[i] -= t * a
+        q = c[:d]
+    return q, e
 
 
 def is_cayley_singular(spec) -> bool:

@@ -289,6 +289,8 @@ def _parse_descriptor(text: str) -> CayleySpec:
 
     cyclic:n=6:gens=2,3[:weights=1,1] | dihedral:n=5 |
     complete:n=3:l=1 | kcycle:n=4:w=3
+
+    Each key may appear once; a cyclic spec takes w= or weights=, not both.
     """
     parts = text.split(":")
     family = parts[0]
@@ -297,6 +299,8 @@ def _parse_descriptor(text: str) -> CayleySpec:
         if "=" not in part:
             raise UsageError(f"bad descriptor segment {part!r} in {text!r}")
         key, _, value = part.partition("=")
+        if key in kv:
+            raise UsageError(f"descriptor {text!r} repeats the key {key!r}")
         kv[key] = value
     if family not in _DESCRIPTOR_KEYS:
         raise UsageError(f"unknown spec family {family!r}")
@@ -317,12 +321,13 @@ def _parse_descriptor(text: str) -> CayleySpec:
         if "gens" not in kv:
             raise UsageError(f"descriptor {text!r} is missing gens=")
         gens = _parse_int_list(kv["gens"], "gens")
-        weights = None
-        for key in ("weights", "w"):
-            if key in kv:
-                weights = _parse_int_list(kv[key], "weights")
-        if weights is not None and len(weights) != len(gens):
-            raise UsageError("descriptor weights must match gens in length")
+        if "weights" in kv and "w" in kv:
+            raise UsageError(f"descriptor {text!r} gives both weights= and w=")
+        weights = kv.get("weights", kv.get("w"))
+        if weights is not None:
+            weights = _parse_int_list(weights, "weights")
+            if len(weights) != len(gens):
+                raise UsageError("descriptor weights must match gens in length")
         return CayleySpec.cyclic(n, gens, weights)
     if family == "dihedral":
         return CayleySpec.dihedral(need_int("n"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GroupTableError, InvalidSpecError
@@ -376,18 +376,35 @@ class CayleySpec:
 
 
 def build_cayley(spec: CayleySpec) -> DirectedMultigraph:
-    """Weighted Cayley graph: w(s) parallel edges g -> g*s per generator s."""
+    """Weighted Cayley graph: w(s) parallel edges g -> g*s per generator s.
+
+    Each out-row is built once, sorted, and goes into the graph as it is.
+    The weights are positive, so no multiplicity is zero; the targets are
+    range-checked, as an unvalidated ``FiniteGroupTable`` can name a
+    non-element.
+    """
     group = spec.group
-    product = group.product
-    steps = tuple(zip(spec.gens, spec.weights))
+    order = group.order
+    weights = spec.weights
+    if not _all_ints(weights):
+        raise InvalidSpecError("edge multiplicities must be integers")
+    vertices = range(order)
+    columns = [list(map(group.product, vertices, repeat(s, order))) for s in spec.gens]
+    for targets in columns:
+        if not _all_ints(targets) or min(targets) < 0 or max(targets) >= order:
+            raise InvalidSpecError("edge target outside the graph")
     out = []
-    for g in range(group.order):
-        row: dict[int, int] = {}
-        for s, w in steps:
-            t = product(g, s)
-            row[t] = row.get(t, 0) + w
+    for targets in zip(*columns):
+        edges = sorted(zip(targets, weights))
+        row = dict(edges)
+        if len(row) < len(edges):  # a table that is not a group can repeat a target
+            row = {}
+            for t, w in edges:
+                row[t] = row.get(t, 0) + w
         out.append(row)
-    return DirectedMultigraph.from_out_rows(out, tuple(map(group.label, range(group.order))))
+    graph = DirectedMultigraph.__new__(DirectedMultigraph)
+    graph._fill(tuple(out), tuple(map(group.label, vertices)))
+    return graph
 
 
 def _strong_components(g: DirectedMultigraph) -> tuple[list[int], int]:

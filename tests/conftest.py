@@ -4,9 +4,6 @@ import random
 import pytest
 
 import k0lab
-from k0lab.circulant import IntPolynomial, resultant
-from k0lab.graphs import CayleySpec
-from k0lab.k0 import companion_matrix
 from k0lab.zmatrix import IntMatrix
 
 
@@ -15,24 +12,6 @@ def src_on_path() -> dict[str, str]:
     src = os.path.dirname(os.path.dirname(os.path.abspath(k0lab.__file__)))
     inherited = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, inherited] if inherited else [src])}
-
-
-def resultant_det(spec: CayleySpec) -> int:
-    """det(I - A^t) of a cyclic spec with 0 not in S, as (-1)^{s_k} Res(h, x^n - 1).
-
-    h is the monic characteristic polynomial of the companion matrix T, and
-    Res(h, g) is the product of g over the roots of h, so it depends on
-    g mod h alone: x^n is reduced mod h by square-and-multiply, and the
-    resultant runs on polynomials of degree s_k.  No matrix is built.
-    """
-    h = companion_matrix(spec).char_poly
-    one, x = IntPolynomial.x_power(0), IntPolynomial.x_power(1)
-    power = one
-    for bit in bin(spec.n)[2:]:
-        power = (power * power) % h
-        if bit == "1":
-            power = (power * x) % h
-    return (-1) ** h.degree() * resultant(h, power - one)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 4) -> IntMatrix:

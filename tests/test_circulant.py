@@ -15,6 +15,7 @@ from k0lab.circulant import (
     det_sign_closed_form,
     divisors,
     euler_phi,
+    nonsingular_det_sign,
     nullity_from_cyclotomics,
     representer,
     resultant,
@@ -141,6 +142,39 @@ class TestCirculantDet:
             row = [rng.randint(-4, 4) for _ in range(n)]
             transposed = [row[(-i) % n] for i in range(n)]
             assert circulant_det(Circulant.of(row)) == circulant_det(Circulant.of(transposed))
+
+
+class TestCayleyDet:
+    """cayley_det works from x^n mod f; circulant_det is the degree-n resultant."""
+
+    def test_matches_circulant_det_on_small_specs(self):
+        # Every (n, S, w) with n <= 12, |S| <= 3 and weights <= 3 (<= 2 when
+        # |S| = 3): 0 in S, singular and non-generating specs included.
+        count = 0
+        for n in range(1, 13):
+            for size in (1, 2, 3):
+                for gens in itertools.combinations(range(n), size):
+                    for weights in itertools.product(range(1, 4 if size < 3 else 3), repeat=size):
+                        spec = CayleySpec.cyclic(n, gens, weights)
+                        assert cayley_det(spec) == circulant_det(cayley_circulant(spec)), (
+                            n, gens, weights
+                        )
+                        count += 1
+        assert count == 8528
+
+    @pytest.mark.parametrize("n", [10**4, 10**4 + 1])
+    def test_loop_plus_step_closed_form(self, n):
+        # S = {0, 1}, weights (a, b): det = prod (1 - a - b zeta) = +-((1 - a)^n - b^n).
+        for a, b in [(3, 3), (2, 3), (1, 2), (1, 1), (4, 1), (3, 2), (5, 2)]:
+            d = cayley_det(CayleySpec.cyclic(n, [0, 1], [a, b]))
+            magnitude = abs((1 - a) ** n - b**n)
+            assert abs(d) == magnitude, (n, a, b)
+            if magnitude:
+                assert (d > 0) - (d < 0) == nonsingular_det_sign(n, (0, 1), (a, b)), (n, a, b)
+
+    def test_refuses_non_cyclic(self):
+        with pytest.raises(ValueError):
+            cayley_det(CayleySpec.dihedral(4))
 
 
 class TestResultant:

@@ -6,12 +6,13 @@ from decimal import Decimal
 import pytest
 
 import k0lab.cli
+from k0lab.circulant import cayley_det
 from k0lab.cli import main
 from k0lab.errors import InternalCheckError
 from k0lab.graphs import CayleySpec
 from k0lab.zmatrix import IntMatrix, int_text, write_matrix
 
-from conftest import resultant_det, src_on_path
+from conftest import src_on_path
 
 
 def run_cli(capsys, *argv):
@@ -56,10 +57,10 @@ class TestCayleyCommand:
         code, out, err = run_cli(capsys, "cayley", "--n", "36000", "--gens", "2,3", "--json")
         assert code == 0, err
         spec = CayleySpec.cyclic(36000, [2, 3])
-        assert int(Decimal(json.loads(out)["det"])) == resultant_det(spec)
+        assert int(Decimal(json.loads(out)["det"])) == cayley_det(spec)
         code, text, _ = run_cli(capsys, "cayley", "--n", "36000", "--gens", "2,3")
         assert code == 0
-        assert f"det = {int_text(resultant_det(spec))}" in text
+        assert f"det = {int_text(cayley_det(spec))}" in text
 
     def test_long_json_numbers(self, capsys):
         # M_d(L(1, 3^n)) for the weighted cycle: m = 3^n is a JSON number.
@@ -342,6 +343,16 @@ class TestCompareCommand:
         for descriptor in ("dihedral:n=5:w=2", "complete:n=3:l=1:gens=1", "kcycle:n=4:w=3:l=1"):
             code, out, _ = run_cli(capsys, "compare", descriptor, "dihedral:n=5")
             assert (code, out) == (64, "")
+
+    def test_descriptor_refuses_repeated_keys(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "cyclic:n=6:gens=2,3:weights=2,1:w=1,1",
+                                 "cyclic:n=6:gens=2,3:n=7")
+        assert (code, out) == (64, "")
+        assert "both weights= and w=" in err
+        code, out, err = run_cli(capsys, "compare", "cyclic:n=6:gens=2,3",
+                                 "cyclic:n=6:gens=2,3:n=7")
+        assert (code, out) == (64, "")
+        assert "repeats the key 'n'" in err
 
     def test_bad_descriptor(self, capsys):
         code, _, _ = run_cli(capsys, "compare", "cyclic:n=6", "dihedral:n=5")

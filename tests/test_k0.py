@@ -225,6 +225,33 @@ class TestAnalyze:
             )
             assert len(report.snf_diag) == max(spec.gens)
 
+    def test_full_path_det_has_no_degree_n_resultant(self, monkeypatch):
+        circ = k0lab.circulant
+        specs = [
+            (CayleySpec.cyclic(40, [0, 1], [3, 3]), "auto"),
+            (CayleySpec.cyclic(41, [0, 2, 3], [3, 2, 2]), "auto"),
+            (CayleySpec.cyclic(30, [0, 1, 4], [1, 2, 1]), "auto"),
+            (CayleySpec.cyclic(36, [3, 4], [1, 2]), "full"),
+            (CayleySpec.cyclic(12, [0, 5], [2, 1]), "full"),
+        ]
+        expected = [circ.circulant_det(circ.cayley_circulant(spec)) for spec, _ in specs]
+        resultant = circ.resultant
+
+        def forbidden(*args):
+            raise AssertionError("a degree-n polynomial on the full path")
+
+        def small_resultant(f, g):
+            assert max(f.degree(), g.degree()) <= max(spec.gens)
+            return resultant(f, g)
+
+        monkeypatch.setattr(circ, "circulant_det", forbidden)
+        monkeypatch.setattr(circ, "x_pow_minus_one", forbidden)
+        monkeypatch.setattr(circ, "resultant", small_resultant)
+        for (spec, method), want in zip(specs, expected):
+            report = analyze(spec, method=method)
+            assert report.method == "full_snf"
+            assert report.det_value == want, (spec.n, spec.gens, spec.weights)
+
     def test_non_generating(self):
         with pytest.raises(NotGeneratingError):
             analyze(CayleySpec.cyclic(6, [2]))
