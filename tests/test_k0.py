@@ -241,6 +241,7 @@ class TestAnalyze:
             raise AssertionError("a degree-n polynomial on the full path")
 
         def small_resultant(f, g):
+            # spec is the spec the loop below is analysing
             assert max(f.degree(), g.degree()) <= max(spec.gens)
             return resultant(f, g)
 
