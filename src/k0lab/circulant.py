@@ -380,20 +380,12 @@ def cayley_det(spec) -> int:
     up to the sign (-1)^((n+1)d); the end with the smaller coefficient is
     taken as b, so |b| = 1 whenever 0 is not in S.
     """
-    if not spec.is_cyclic:
-        raise ValueError("circulant analysis needs a cyclic-group spec")
     n = spec.n
-    f = [0] * (max(spec.gens) + 1)
-    f[0] = 1
-    for s, w in zip(spec.gens, spec.weights):
-        f[s] -= w
-    while f and f[-1] == 0:
-        f.pop()
+    low, f = _stripped_weight_polynomial(spec)
     if not f:
         return 0
-    low = next(j for j, c in enumerate(f) if c)
     content = gcd(*f)
-    f = [c // content for c in f[low:]]
+    f = [c // content for c in f]
     d = len(f) - 1
     sign = -1 if (n + 1) * low % 2 else 1
     if d == 0:
@@ -417,6 +409,21 @@ def cayley_det(spec) -> int:
         if rest:
             raise InternalCheckError("resultant not divisible by the power of lc(f)")
     return sign * (-1) ** (n * d) * content**n * value
+
+
+def _stripped_weight_polynomial(spec) -> tuple[int, list[int]]:
+    """(j, coefficients of f / x^j) for f = 1 - sum_s w(s) x^s and x^j the
+    largest power of x dividing it; (0, []) when f is zero."""
+    if not spec.is_cyclic:
+        raise ValueError("circulant analysis needs a cyclic-group spec")
+    f = [0] * (max(spec.gens) + 1)
+    f[0] = 1
+    for s, w in zip(spec.gens, spec.weights):
+        f[s] -= w
+    while f and f[-1] == 0:
+        f.pop()
+    low = next((j for j, c in enumerate(f) if c), 0)
+    return low, f[low:]
 
 
 def _x_pow_mod(f: list[int], n: int) -> tuple[list[int], int]:
@@ -453,8 +460,21 @@ def _x_pow_mod(f: list[int], n: int) -> tuple[list[int], int]:
 
 
 def is_cayley_singular(spec) -> bool:
-    c = cayley_circulant(spec)
-    return bool(singular_cyclotomic_divisors(representer(c), spec.n))
+    """Whether det(I - A^t) vanishes, decided on f = 1 - sum_s w(s) x^s.
+
+    The representer p of ``cayley_circulant(spec)`` has p(zeta) = f(1/zeta)
+    at the n-th roots of unity, and the roots of Phi_d are closed under
+    inversion, so Phi_d divides p exactly when it divides f.  A factor x^j
+    of f has no root of unity, so it is stripped, and only the d | n with
+    phi(d) at most the degree of what is left can divide it.  A zero f is
+    singular.
+    """
+    _, f = _stripped_weight_polynomial(spec)
+    if not f:
+        return True
+    rest = IntPolynomial(tuple(f))
+    degree = rest.degree()
+    return any(euler_phi(d) <= degree and cyclotomic(d).divides(rest) for d in divisors(spec.n))
 
 
 def det_sign_closed_form(spec) -> int:

@@ -4,12 +4,17 @@ From a weighted Cayley graph (or any finite graph) this computes
 det(I - A^t), the Grothendieck group as a finitely generated abelian
 group, and the order of the class of the all-ones vector, either by a
 full Smith reduction of the n x n matrix or by the companion-matrix
-shortcut.  For a cyclic spec with 0 not in S the shortcut yields all
-three from the s_k x s_k matrix P = T^n - I alone: K0 = Coker P, [1]
-maps to g = sum_{i<n} T^i e_{s_k}, and det(I - A^t) = (-1)^{s_k} det P.
-No n x n graph or matrix is built on that path.  T is multiplication by
-x on Z[x]/(h), h its characteristic polynomial, so P and g come from one
-square-and-multiply pass over the bits of n in that ring: O(s_k^2 log n)
+shortcut.  For a cyclic spec with 0 not in S, K0 = Z[x]/(x^n - 1, f) with
+f = 1 - sum w(s) x^s, and [1] maps to N = sum_{i<n} x^i.  Any arc of Z_n
+that holds {0} and S and has a coefficient +-1 at one end gives a monic h
+of degree L, the arc's length, with the same quotient and class:
+multiplying f by a power of x and substituting x -> 1/x change neither.
+The shortcut takes the shortest such arc (L <= s_k) and yields all three
+invariants from the L x L matrix P = T^n - I alone, T the companion
+matrix of h: K0 = Coker P, [1] maps to g = sum_{i<n} T^i e_L, and det(I -
+A^t) is +-det P.  No n x n graph or matrix is built on that path.  T is
+multiplication by x on Z[x]/(h), so P and g come from one
+square-and-multiply pass over the bits of n in that ring: O(L^2 log n)
 products, with no matrix power.
 """
 
@@ -70,6 +75,60 @@ def _char_poly(gens: tuple[int, ...], weights: tuple[int, ...]) -> circ.IntPolyn
     return circ.IntPolynomial.of(coeffs)
 
 
+@dataclass(frozen=True)
+class Window:
+    """The arc of Z_n that the companion side reduces, as a monic h of degree L.
+
+    The arc runs from ``start`` upward, through the wrap, over L steps, and
+    g(x) = sum c_q x^{(q - start) mod n} over the points q of {0} and S,
+    with c_0 = 1 and c_s = -w(s).  h is c g when ``reversed`` is false and
+    c x^L g(1/x) when it is true, c = +-1 the coefficient of the end that
+    becomes the leading one.  det(I - A^t) = ``det_sign`` det(T_h^n - I).
+    """
+
+    start: int
+    reversed: bool
+    h: circ.IntPolynomial
+    det_sign: int
+
+
+def _shortest_window(n: int, gens: tuple[int, ...], weights: tuple[int, ...]) -> Window:
+    """Drop the largest gap between consecutive points of {0} and S (0 not in S)
+    that has a unit coefficient at one end.
+
+    The arc starts at the gap's upper end a and is reversed when c_a is a
+    unit.  Ties go to the wrap gap (s_k, 0), so the arc [0, s_k], reversed,
+    gives ``_char_poly`` whenever no arc is shorter.  With L the arc's
+    length, prod f(zeta) over the n-th roots of unity is prod zeta^a g(zeta)
+    and det(T_h^n - I) = (-1)^{nL} prod h(zeta), which gives the sign
+    (-1)^{(n+1)a + nL [+ (n+1)L if reversed]} c^n.
+    """
+    points = [(0, 1), *zip(gens, (-w for w in weights))]
+    best = None
+    for i in range(-1, len(points) - 1):  # the wrap gap first
+        (low, c_low), (high, c_high) = points[i], points[i + 1]
+        gap = (high - low) % n
+        if (abs(c_low) == 1 or abs(c_high) == 1) and (best is None or gap > best[0]):
+            best = gap, high, c_low, c_high
+    gap, start, c_low, c_high = best
+    length = n - gap
+    flip = abs(c_high) == 1
+    c = c_high if flip else c_low
+    coeffs = [0] * (length + 1)
+    for q, cq in points:
+        pos = (q - start) % n
+        coeffs[length - pos if flip else pos] = c * cq
+    exponent = (n + 1) * start + n * length + (n + 1) * length * flip
+    sign = (-1 if exponent % 2 else 1) * (c if n % 2 else 1)
+    return Window(start, flip, circ.IntPolynomial(tuple(coeffs)), sign)
+
+
+def _stated_diagonal(group: FinAbGroup, size: int) -> tuple[int, ...]:
+    """The Smith diagonal of a size x size presentation of ``group``: ones, torsion, zeros."""
+    ones = size - len(group.torsion) - group.free_rank
+    return (1,) * ones + group.torsion + (0,) * group.free_rank
+
+
 def _require_companion(spec: CayleySpec | None, pis: bool = True) -> None:
     """Refuse what the companion reduction does not cover: a spec that is not
     cyclic, then W < 2 (when ``pis`` is false), then 0 in S."""
@@ -94,10 +153,10 @@ def _require_generating(spec: CayleySpec, graph: DirectedMultigraph | None) -> N
 
 
 def _companion_presentation(h: circ.IntPolynomial, n: int) -> tuple[IntMatrix, list[int]]:
-    """P = T^n - I and g = sum_{i<n} T^i e_{s_k} for the companion matrix T of monic h.
+    """P = T^n - I and g = sum_{i<n} T^i e_L for the companion matrix T of monic h of degree L.
 
-    T is multiplication by x on Z[x]/(h) in the basis 1, x, ..., x^{s_k - 1},
-    so column j of T^n is x^{n+j} mod h and g is x^{s_k - 1} N(n) mod h, with
+    T is multiplication by x on Z[x]/(h) in the basis 1, x, ..., x^{L - 1},
+    so column j of T^n is x^{n+j} mod h and g is x^{L - 1} N(n) mod h, with
     N(m) = 1 + x + ... + x^{m-1}.  One pass over the bits of n gives x^n and
     N(n) together: N(2m) = N(m)(1 + x^m) and N(m + 1) = N(m) + x^m.
     """
@@ -234,13 +293,15 @@ def analyze(
     """Full analysis of a Cayley spec or a raw graph.
 
     ``method`` selects the reduction: "full" (n x n Smith form),
-    "companion" (s_k x s_k shortcut, cyclic specs with 0 not in S only),
-    "both" (run both and insist they agree), or "auto" (both for n up to
-    ``CROSSCHECK_LIMIT``, companion beyond it, full when the shortcut does
-    not apply).  The companion methods take K0, the order of [1], the
-    Smith diagonal and det(I - A^t) = (-1)^{s_k} det P from P = T^n - I,
-    built from h alone, and build no n x n graph or matrix; "both" also
-    runs the full reduction and checks K0 and the order of [1] against it.
+    "companion" (L x L shortcut, L <= s_k, cyclic specs with 0 not in S
+    only), "both" (run both and insist they agree), or "auto" (both for n
+    up to ``CROSSCHECK_LIMIT``, companion beyond it, full when the shortcut
+    does not apply).  The companion methods take h from the shortest window
+    (``_shortest_window``), then K0, the order of [1] and det(I - A^t) =
+    +-det P from P = T_h^n - I alone, and build no n x n graph or matrix;
+    the Smith diagonal is still stated at size s_k (ones, torsion, zeros).
+    "both" also runs the full reduction and checks K0 and the order of [1]
+    against it.
     ``det`` shares no elimination with either Smith reduction, so
     |K0| = |det| stays a witness.
     """
@@ -280,9 +341,11 @@ def analyze(
         raise InvalidSpecError("method 'both' needs a cyclic spec with 0 not in S and W >= 2")
 
     if method != "full_snf":
-        p, g = _companion_presentation(_char_poly(spec.gens, spec.weights), n)
-        diag, k0_result, order = cokernel_with_class(p, g)
-        det_value = (-1) ** max(spec.gens) * det(p)
+        window = _shortest_window(n, spec.gens, spec.weights)
+        p, g = _companion_presentation(window.h, n)
+        _, k0_result, order = cokernel_with_class(p, g)
+        diag = _stated_diagonal(k0_result, max(spec.gens))
+        det_value = window.det_sign * det(p)
     if method != "companion_reduction":
         if graph is None:
             graph = build_cayley(spec)

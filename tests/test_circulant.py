@@ -15,6 +15,7 @@ from k0lab.circulant import (
     det_sign_closed_form,
     divisors,
     euler_phi,
+    is_cayley_singular,
     nonsingular_det_sign,
     nullity_from_cyclotomics,
     representer,
@@ -266,6 +267,45 @@ class TestDetSignClosedForm:
     def test_rejects_non_generating(self):
         with pytest.raises(ValueError):
             det_sign_closed_form(CayleySpec.cyclic(6, [2, 4]))
+
+
+class TestIsCayleySingular:
+    """is_cayley_singular tests Phi_d | f on degree s_k; the reference divides the representer."""
+
+    def test_matches_representer_divisors_on_small_specs(self):
+        # Every (n, S, w) with n <= 12, |S| <= 3 and weights <= 3: 0 in S,
+        # zero f and non-generating specs included.
+        count = 0
+        for n in range(1, 13):
+            for size in (1, 2, 3):
+                for gens in itertools.combinations(range(n), size):
+                    for weights in itertools.product((1, 2, 3), repeat=size):
+                        spec = CayleySpec.cyclic(n, gens, weights)
+                        representer_poly = representer(cayley_circulant(spec))
+                        expected = bool(singular_cyclotomic_divisors(representer_poly, n))
+                        assert is_cayley_singular(spec) == expected, (n, gens, weights)
+                        count += 1
+        assert count == 22113
+
+    def test_zero_f_is_singular(self):
+        for n in (1, 4, 7):
+            assert is_cayley_singular(CayleySpec.cyclic(n, [0], [1]))
+
+    def test_large_n_builds_no_representer(self, monkeypatch):
+        import k0lab.circulant as circ
+
+        def forbidden(*args):
+            raise AssertionError("a degree-n representer in the singularity test")
+
+        monkeypatch.setattr(circ, "cayley_circulant", forbidden)
+        monkeypatch.setattr(circ, "representer", forbidden)
+        # 1 - x - x^5 vanishes at the primitive sixth roots of unity.
+        assert is_cayley_singular(CayleySpec.cyclic(6000, [1, 5]))
+        assert det_sign_closed_form(CayleySpec.cyclic(6000, [1, 5])) == 0
+        assert not is_cayley_singular(CayleySpec.cyclic(10**4, [2, 3]))
+        assert det_sign_closed_form(CayleySpec.cyclic(10**4, [2, 3])) == -1
+        # x^2 (1 - 2x) after the strip: no cyclotomic factor.
+        assert not is_cayley_singular(CayleySpec.cyclic(10**4, [0, 2, 3], [1, 1, 2]))
 
 
 class TestTwoGeneratorSingularity:

@@ -22,7 +22,9 @@ from k0lab.graphs import (
 )
 from k0lab.k0 import (
     K0Report,
+    _char_poly,
     _companion_presentation,
+    _shortest_window,
     _validate_report,
     analyze,
     closed_form_S01,
@@ -30,7 +32,7 @@ from k0lab.k0 import (
     f_sequence,
     verify_Tn_structure,
 )
-from k0lab.zmatrix import FinAbGroup, IntMatrix, cokernel, mat_pow
+from k0lab.zmatrix import FinAbGroup, IntMatrix, cokernel, mat_pow, snf_diagonal
 
 from conftest import src_on_path
 
@@ -580,3 +582,82 @@ class TestCompanionAgreesWithFull:
         )
         with pytest.raises(InternalCheckError, match=r"1 vs 2 for n=5 S=\(1,\) w=\(3,\)$"):
             analyze(spec, method="both")
+
+
+class TestShortestWindow:
+    """The companion side reduces the shortest arc of {0} and S with a unit end."""
+
+    @pytest.mark.parametrize(
+        "n, gens, weights, start, length, flipped, h",
+        [
+            # {1, n - 1}: drop the gap (1, n - 1); h = x^2 - x + 1 at any n.
+            (1000, (1, 999), (1, 1), 999, 2, True, (1, -1, 1)),
+            (7, (1, 6), (1, 1), 6, 2, True, (1, -1, 1)),
+            # {n - 2, n - 1}: drop the gap (0, n - 2).
+            (10, (8, 9), (1, 1), 8, 2, True, (-1, 1, 1)),
+            # {2, n - 3}: drop the gap (2, n - 3).
+            (10, (2, 7), (1, 1), 7, 5, True, (1, 0, -1, 0, 0, 1)),
+            # The largest gap, (6, 11), has weight 2 at both ends and cannot be
+            # dropped; the next, (0, 4), has its unit at the lower end: no flip.
+            (12, (4, 6, 11), (2, 2, 2), 4, 8, False, (-2, 0, -2, 0, 0, 0, 0, -2, 1)),
+            # No arc beats [0, s_k]: today's h, reversed from a = 0.
+            (6, (2, 3), (1, 1), 0, 3, True, (-1, -1, 0, 1)),
+            (40, (3, 5, 8), (1, 1, 1), 0, 8, True, (-1, 0, 0, -1, 0, -1, 0, 0, 1)),
+        ],
+    )
+    def test_pins_the_window(self, n, gens, weights, start, length, flipped, h):
+        window = _shortest_window(n, gens, weights)
+        assert (window.start, window.h.degree(), window.reversed) == (start, length, flipped)
+        assert window.h == IntPolynomial.of(h)
+        spec = CayleySpec.cyclic(n, gens, weights)
+        companion = analyze(spec, method="companion")
+        assert companion.det_value == k0lab.circulant.cayley_det(spec)
+        if n <= 40:
+            full = analyze(spec, method="full")
+            assert (companion.k0, companion.identity_order) == (full.k0, full.identity_order)
+
+    def test_ties_keep_the_arc_from_zero(self):
+        # Every n with s_k = 1, and {1, 2} on Z_4, where the gaps tie.
+        for n, gens, weights in [(2, (1,), (2,)), (5, (1,), (3,)), (4, (1, 2), (1, 1))]:
+            window = _shortest_window(n, gens, weights)
+            assert window.start == 0 and window.reversed
+            assert window.h == _char_poly(gens, weights)
+
+    def test_auto_reduces_a_two_by_two_on_c1000_1_999(self, monkeypatch):
+        spec = CayleySpec.cyclic(1000, [1, 999])
+        full = analyze(spec, method="full")
+        degrees = []
+        presentation = k0lab.k0._companion_presentation
+
+        def recording(h, n):
+            degrees.append(h.degree())
+            return presentation(h, n)
+
+        monkeypatch.setattr(k0lab.k0, "_companion_presentation", recording)
+        report = analyze(spec)
+        assert report.method == "companion_reduction"
+        assert degrees == [2]
+        assert (report.k0, report.identity_order, report.det_value) == (
+            full.k0, full.identity_order, full.det_value
+        )
+        assert report.k0.order() == 3 and len(report.snf_diag) == 999
+
+    def test_snf_diag_matches_the_s_k_presentation(self):
+        # Every generating S of Z_n with 0 not in S, n <= 12, |S| <= 3,
+        # weights <= 3, W >= 2: the diagonal stated at size s_k is the Smith
+        # form of today's s_k x s_k T^n - I, with T from _char_poly.
+        count = 0
+        for n in range(2, 13):
+            for size in (1, 2, 3):
+                for gens in itertools.combinations(range(1, n), size):
+                    if gcd(n, *gens) != 1:
+                        continue
+                    for weights in itertools.product((1, 2, 3), repeat=size):
+                        if sum(weights) < 2:
+                            continue
+                        spec = CayleySpec.cyclic(n, gens, weights)
+                        p = _companion_presentation(_char_poly(gens, weights), n)[0]
+                        report = analyze(spec, method="companion")
+                        assert report.snf_diag == snf_diagonal(p), (n, gens, weights)
+                        count += 1
+        assert count == 14787
