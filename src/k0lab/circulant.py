@@ -472,8 +472,7 @@ def is_cayley_singular(spec) -> bool:
     _, f = _stripped_weight_polynomial(spec)
     if not f:
         return True
-    rest = IntPolynomial(tuple(f))
-    degree = rest.degree()
+    rest, degree = IntPolynomial(tuple(f)), len(f) - 1
     return any(euler_phi(d) <= degree and cyclotomic(d).divides(rest) for d in divisors(spec.n))
 
 

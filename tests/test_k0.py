@@ -617,8 +617,8 @@ class TestShortestWindow:
             assert (companion.k0, companion.identity_order) == (full.k0, full.identity_order)
 
     def test_ties_keep_the_arc_from_zero(self):
-        # Every n with s_k = 1, and {1, 2} on Z_4, where the gaps tie.
-        for n, gens, weights in [(2, (1,), (2,)), (5, (1,), (3,)), (4, (1, 2), (1, 1))]:
+        # In each, a gap with a unit end is as long as the wrap gap (s_k, 0).
+        for n, gens, weights in [(2, (1,), (2,)), (5, (1, 3), (1, 1)), (8, (2, 5), (1, 2))]:
             window = _shortest_window(n, gens, weights)
             assert window.start == 0 and window.reversed
             assert window.h == _char_poly(gens, weights)
@@ -644,15 +644,16 @@ class TestShortestWindow:
 
     def test_snf_diag_matches_the_s_k_presentation(self):
         # Every generating S of Z_n with 0 not in S, n <= 12, |S| <= 3,
-        # weights <= 3, W >= 2: the diagonal stated at size s_k is the Smith
-        # form of today's s_k x s_k T^n - I, with T from _char_poly.
+        # weights <= 2 (a window end is a unit or not), W >= 2: the diagonal
+        # stated at size s_k is the Smith form of the s_k x s_k T^n - I,
+        # with T the companion matrix of _char_poly.
         count = 0
         for n in range(2, 13):
             for size in (1, 2, 3):
                 for gens in itertools.combinations(range(1, n), size):
                     if gcd(n, *gens) != 1:
                         continue
-                    for weights in itertools.product((1, 2, 3), repeat=size):
+                    for weights in itertools.product((1, 2), repeat=size):
                         if sum(weights) < 2:
                             continue
                         spec = CayleySpec.cyclic(n, gens, weights)
@@ -660,4 +661,4 @@ class TestShortestWindow:
                         report = analyze(spec, method="companion")
                         assert report.snf_diag == snf_diagonal(p), (n, gens, weights)
                         count += 1
-        assert count == 14787
+        assert count == 4661
