@@ -4,9 +4,10 @@ A circulant is determined by its first row; its determinant is the product
 of the representer polynomial over all n-th roots of unity, which
 ``circulant_det`` computes exactly as a resultant against x^n - 1.  For
 the circulant I - A^t of a weighted Cayley graph over Z_n, ``cayley_det``
-takes the same product from f = 1 - sum w(s) x^s of degree s_k: it
-reduces x^n mod f by square-and-multiply, O(s_k^2 log n) products, and
-runs the resultant on polynomials of degree at most s_k.  Singularity is
+takes the same product from f = 1 - sum w(s) x^s read along the shortest
+arc of Z_n that holds its nonzero coefficients, a polynomial g of degree
+L <= s_k: it reduces x^n mod g by square-and-multiply, O(L^2 log n)
+products, and runs the resultant on polynomials of degree at most L.  Singularity is
 decided by exact cyclotomic divisibility, never by floating point.
 """
 
@@ -366,64 +367,81 @@ def cayley_circulant(spec) -> Circulant:
 
 
 def cayley_det(spec) -> int:
-    """det(I - A^t) for a weighted Cayley graph over Z_n, from x^n mod f.
+    """det(I - A^t) for a weighted Cayley graph over Z_n, from x^n mod g.
 
     The value is prod f(zeta) over the n-th roots of unity zeta, with
-    f = 1 - sum_s w(s) x^s of degree s_k; it equals ``circulant_det`` of
-    ``cayley_circulant(spec)``, but no polynomial of degree above s_k is
-    built.  A factor x^j of f contributes (prod zeta)^j = (-1)^((n+1)j),
-    and a constant factor c contributes c^n.  For the rest, of degree
-    d >= 1 and leading coefficient b, the product is Res(x^n - 1, f) =
-    (-1)^(nd) Res(f, x^n - 1) = (-1)^(nd) b^(n - deg r) Res(f, r), with
-    r = (x^n - 1) mod f over Q carried as q / b^e, q over Z.  Since
-    x -> 1/x permutes the roots of unity, the reversal of f serves as well,
+    f = 1 - sum_s w(s) x^s.  ``_stripped_weight_polynomial`` writes f as
+    x^a g modulo x^n - 1, g read along the shortest arc of Z_n that holds
+    every nonzero coefficient of f, so deg g <= s_k and is 2 for S =
+    {1, n - 1}.  The value equals ``circulant_det`` of
+    ``cayley_circulant(spec)``, but no polynomial of degree above deg g is
+    built.  The factor x^a contributes (prod zeta)^a = (-1)^((n+1)a), and
+    a constant factor c contributes c^n.  For the rest, of degree d >= 1
+    and leading coefficient b, the product is Res(x^n - 1, g) =
+    (-1)^(nd) Res(g, x^n - 1) = (-1)^(nd) b^(n - deg r) Res(g, r), with
+    r = (x^n - 1) mod g over Q carried as q / b^e, q over Z.  Since
+    x -> 1/x permutes the roots of unity, the reversal of g serves as well,
     up to the sign (-1)^((n+1)d); the end with the smaller coefficient is
-    taken as b, so |b| = 1 whenever 0 is not in S.
+    taken as b.  It need not be a unit: the reduction scales by b at each
+    step, as a pseudo-remainder does.
     """
     n = spec.n
-    low, f = _stripped_weight_polynomial(spec)
-    if not f:
+    start, g = _stripped_weight_polynomial(spec)
+    if not g:
         return 0
-    content = gcd(*f)
-    f = [c // content for c in f]
-    d = len(f) - 1
-    sign = -1 if (n + 1) * low % 2 else 1
+    content = gcd(*g)
+    g = [c // content for c in g]
+    d = len(g) - 1
+    sign = -1 if (n + 1) * start % 2 else 1
     if d == 0:
-        return sign * (content * f[0]) ** n
-    if abs(f[0]) < abs(f[-1]):
-        f.reverse()
+        return sign * (content * g[0]) ** n
+    if abs(g[0]) < abs(g[-1]):
+        g.reverse()
         sign *= -1 if (n + 1) * d % 2 else 1
-    b = f[-1]
-    q, e = _x_pow_mod(f, n)
+    b = g[-1]
+    q, e = _x_pow_mod(g, n)
     q[0] -= b**e
     r = _trimmed(q)
     if r.is_zero:
         return 0
-    # Res(f, q / b^e) = Res(f, q) / b^(ed): the b-exponent nets to n - deg r - ed.
-    value = resultant(IntPolynomial(tuple(f)), r)
+    # Res(g, q / b^e) = Res(g, q) / b^(ed): the b-exponent nets to n - deg r - ed.
+    value = resultant(IntPolynomial(tuple(g)), r)
     k = n - r.degree() - e * d
     if k >= 0:
         value *= b**k
     else:
         value, rest = divmod(value, b**-k)
         if rest:
-            raise InternalCheckError("resultant not divisible by the power of lc(f)")
+            raise InternalCheckError("resultant not divisible by the power of lc(g)")
     return sign * (-1) ** (n * d) * content**n * value
 
 
 def _stripped_weight_polynomial(spec) -> tuple[int, list[int]]:
-    """(j, coefficients of f / x^j) for f = 1 - sum_s w(s) x^s and x^j the
-    largest power of x dividing it; (0, []) when f is zero."""
+    """(a, coefficients of g) with f = x^a g modulo x^n - 1 for f = 1 - sum_s
+    w(s) x^s, g read along the shortest arc of Z_n that holds every nonzero
+    coefficient of f; (0, []) when f is zero.
+
+    The arc drops the largest gap between cyclically consecutive nonzero
+    coefficients, the wrap gap included, and starts at a, the gap's upper
+    end; deg g is the arc's length.  Ties keep the wrap gap, so when no arc
+    is shorter, x^a is the largest power of x dividing f and g = f / x^a.
+    """
     if not spec.is_cyclic:
         raise ValueError("circulant analysis needs a cyclic-group spec")
-    f = [0] * (max(spec.gens) + 1)
-    f[0] = 1
-    for s, w in zip(spec.gens, spec.weights):
-        f[s] -= w
-    while f and f[-1] == 0:
-        f.pop()
-    low = next((j for j, c in enumerate(f) if c), 0)
-    return low, f[low:]
+    n = spec.n
+    coeffs = dict(zip(spec.gens, (-w for w in spec.weights)))
+    coeffs[0] = coeffs.get(0, 0) + 1
+    points = sorted(q for q, c in coeffs.items() if c)
+    if not points:
+        return 0, []
+    gap, start = points[0] + n - points[-1], points[0]  # the wrap gap first
+    for low, high in zip(points, points[1:]):
+        if high - low > gap:
+            gap, start = high - low, high
+    g = [0] * (n - gap + 1)
+    for q in points:
+        g[(q - start) % n] = coeffs[q]
+    return start, g
 
 
 def _x_pow_mod(f: list[int], n: int) -> tuple[list[int], int]:
@@ -464,15 +482,16 @@ def is_cayley_singular(spec) -> bool:
 
     The representer p of ``cayley_circulant(spec)`` has p(zeta) = f(1/zeta)
     at the n-th roots of unity, and the roots of Phi_d are closed under
-    inversion, so Phi_d divides p exactly when it divides f.  A factor x^j
-    of f has no root of unity, so it is stripped, and only the d | n with
-    phi(d) at most the degree of what is left can divide it.  A zero f is
-    singular.
+    inversion, so Phi_d divides p exactly when it divides f.  For d | n
+    that holds exactly when Phi_d divides g, where f = x^a g modulo x^n - 1
+    on the shortest arc (``_stripped_weight_polynomial``): the two agree
+    up to a power of zeta at every n-th root of unity.  Only the d | n with
+    phi(d) at most deg g can divide g.  A zero f is singular.
     """
-    _, f = _stripped_weight_polynomial(spec)
-    if not f:
+    _, g = _stripped_weight_polynomial(spec)
+    if not g:
         return True
-    rest, degree = IntPolynomial(tuple(f)), len(f) - 1
+    rest, degree = IntPolynomial(tuple(g)), len(g) - 1
     return any(euler_phi(d) <= degree and cyclotomic(d).divides(rest) for d in divisors(spec.n))
 
 

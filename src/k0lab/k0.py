@@ -16,6 +16,13 @@ A^t) is +-det P.  No n x n graph or matrix is built on that path.  T is
 multiplication by x on Z[x]/(h), so P and g come from one
 square-and-multiply pass over the bits of n in that ring: O(L^2 log n)
 products, with no matrix power.
+
+A generating {r^a, r^k s} of D_m with unit weights and m >= 3 goes the same
+way: Z[D_m] is free of rank 2 over Z[x]/(x^m - 1), and the image of
+I - A^t has a unit entry over that ring, so K0, the order of [1] and det
+are those of the cyclic twin C_m({1, m - 1}) (``_cyclic_twin``), whose
+shortest window has L = 2.  The report is still that of the full 2m x 2m
+Smith form; no graph is built.
 """
 
 from __future__ import annotations
@@ -140,6 +147,30 @@ def _require_companion(spec: CayleySpec | None, pis: bool = True) -> None:
         raise InvalidSpecError(
             "companion reduction requires 0 not in S; use the full Smith path"
         )
+
+
+def _cyclic_twin(spec: CayleySpec) -> CayleySpec | None:
+    """C_m({1, m - 1}) when spec is {r^a, r^k s} in D_m with unit weights,
+    m >= 3 and gcd(a, m) = 1; None for every other spec.
+
+    With R = Z[x]/(x^m - 1), Z[D_m] = R + R s and s x = x^-1 s.  The image
+    of I - A^t is the left ideal generated by f = 1 - r^a - r^k s = alpha +
+    beta s, alpha = 1 - x^a and beta = -x^k; over R it is spanned by f =
+    (alpha, beta) and s f = (beta-bar, alpha-bar), the bar being x -> 1/x.
+    beta is a unit, so K0 = R/(alpha alpha-bar - 1) = R/(1 - x^a - x^-a),
+    [1] = (N, N) maps to N, and det(I - A^t) is the norm of alpha alpha-bar
+    - beta beta-bar, the det of C_m({a, -a}).  x -> x^b with ab = 1 mod m
+    is a ring automorphism of R that fixes N, so all three equal those of
+    C_m({1, m - 1}).  The spec generates D_m exactly when gcd(a, m) = 1.
+    """
+    group = spec.group
+    if group.kind != "dihedral" or group.n < 3 or tuple(spec.weights) != (1, 1):
+        return None
+    m = group.n
+    rotations = [g for g in spec.gens if g < m]
+    if len(rotations) != 1 or gcd(rotations[0], m) != 1:
+        return None
+    return CayleySpec.cyclic(m, [1, m - 1])
 
 
 def _require_generating(spec: CayleySpec, graph: DirectedMultigraph | None) -> None:
@@ -292,16 +323,21 @@ def analyze(
 ) -> K0Report:
     """Full analysis of a Cayley spec or a raw graph.
 
-    ``method`` selects the reduction: "full" (n x n Smith form),
-    "companion" (L x L shortcut, L <= s_k, cyclic specs with 0 not in S
-    only), "both" (run both and insist they agree), or "auto" (both for n
-    up to ``CROSSCHECK_LIMIT``, companion beyond it, full when the shortcut
-    does not apply).  The companion methods take h from the shortest window
-    (``_shortest_window``), then K0, the order of [1] and det(I - A^t) =
-    +-det P from P = T_h^n - I alone, and build no n x n graph or matrix;
-    the Smith diagonal is still stated at size s_k (ones, torsion, zeros).
-    "both" also runs the full reduction and checks K0 and the order of [1]
-    against it.
+    ``method`` selects the reduction: "full" (the Smith form of the n x n
+    I - A^t, reached through the cyclic twin where there is one, see
+    below), "companion" (L x L shortcut, L <= s_k, cyclic specs with 0
+    not in S only), "both" (run both and insist they agree), or "auto"
+    (both for n up to ``CROSSCHECK_LIMIT``, companion beyond it, full when
+    the shortcut does not apply).  The companion methods take h from the
+    shortest window (``_shortest_window``), then K0, the order of [1] and
+    det(I - A^t) = +-det P from P = T_h^n - I alone, and build no n x n
+    graph or matrix; the Smith diagonal is still stated at size s_k (ones,
+    torsion, zeros).  "both" also runs the full reduction and checks K0
+    and the order of [1] against it.
+    A dihedral spec with a cyclic twin (``_cyclic_twin``) reports
+    "full_snf" under "auto" and "full", but K0 and the order of [1] come
+    from the twin's window and det from ``circulant.cayley_det`` of the
+    twin; the diagonal is stated at size n = 2m and no graph is built.
     ``det`` shares no elimination with either Smith reduction, so
     |K0| = |det| stays a witness.
     """
@@ -310,10 +346,13 @@ def analyze(
 
     spec: CayleySpec | None
     graph: DirectedMultigraph | None
+    twin = None
     if isinstance(target, CayleySpec):
         spec = target
-        graph = None if spec.is_cyclic else build_cayley(spec)
-        _require_generating(spec, graph)
+        twin = _cyclic_twin(spec)  # generating by its gcd test
+        graph = None if spec.is_cyclic or twin else build_cayley(spec)
+        if twin is None:
+            _require_generating(spec, graph)
         kind = spec.group.kind
         total_weight = spec.total_weight
         pis = total_weight >= 2
@@ -340,13 +379,18 @@ def analyze(
     elif not companion_ok:
         raise InvalidSpecError("method 'both' needs a cyclic spec with 0 not in S and W >= 2")
 
-    if method != "full_snf":
-        window = _shortest_window(n, spec.gens, spec.weights)
-        p, g = _companion_presentation(window.h, n)
+    if method != "full_snf" or twin:
+        cyclic = twin or spec
+        window = _shortest_window(cyclic.n, cyclic.gens, cyclic.weights)
+        p, g = _companion_presentation(window.h, cyclic.n)
         _, k0_result, order = cokernel_with_class(p, g)
-        diag = _stated_diagonal(k0_result, max(spec.gens))
-        det_value = window.det_sign * det(p)
-    if method != "companion_reduction":
+        if twin:  # the full_snf report of the 2m x 2m matrix, from the twin
+            diag = _stated_diagonal(k0_result, n)
+            det_value = circ.cayley_det(twin)
+        else:
+            diag = _stated_diagonal(k0_result, max(spec.gens))
+            det_value = window.det_sign * det(p)
+    if method != "companion_reduction" and not twin:
         if graph is None:
             graph = build_cayley(spec)
         m = graph.i_minus_at()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from k0lab.circulant import (
     Circulant,
+    _stripped_weight_polynomial,
     IntPolynomial,
     cayley_circulant,
     cayley_det,
@@ -30,6 +31,21 @@ from k0lab.zmatrix import det, rank
 
 def poly(*coeffs):
     return IntPolynomial.of(coeffs)
+
+
+def arc_families(n_max: int = 40):
+    """Specs whose shortest arc is not [s_1, s_k]: {1, n - 1} and {0, 1, n - 1},
+    with w_0 = 1 among them, for 3 <= n <= n_max."""
+    for n in range(3, n_max + 1):
+        for gens, weights in [
+            ((1, n - 1), (1, 1)),
+            ((1, n - 1), (2, 2)),
+            ((1, n - 1), (2, 3)),
+            ((0, 1, n - 1), (3, 1, 2)),
+            ((0, 1, n - 1), (1, 1, 1)),
+            ((0, 1, n - 1), (1, 2, 2)),
+        ]:
+            yield CayleySpec.cyclic(n, gens, weights)
 
 
 class TestIntPolynomial:
@@ -150,18 +166,49 @@ class TestCayleyDet:
 
     def test_matches_circulant_det_on_small_specs(self):
         # Every (n, S, w) with n <= 12, |S| <= 3 and weights <= 3 (<= 2 when
-        # |S| = 3): 0 in S, singular and non-generating specs included.
+        # |S| = 3): 0 in S, singular and non-generating specs included; then
+        # the arc families up to n = 40.
+        small = (
+            CayleySpec.cyclic(n, gens, weights)
+            for n in range(1, 13)
+            for size in (1, 2, 3)
+            for gens in itertools.combinations(range(n), size)
+            for weights in itertools.product(range(1, 4 if size < 3 else 3), repeat=size)
+        )
         count = 0
-        for n in range(1, 13):
-            for size in (1, 2, 3):
-                for gens in itertools.combinations(range(n), size):
-                    for weights in itertools.product(range(1, 4 if size < 3 else 3), repeat=size):
-                        spec = CayleySpec.cyclic(n, gens, weights)
-                        assert cayley_det(spec) == circulant_det(cayley_circulant(spec)), (
-                            n, gens, weights
-                        )
-                        count += 1
-        assert count == 8528
+        for spec in itertools.chain(small, arc_families()):
+            assert cayley_det(spec) == circulant_det(cayley_circulant(spec)), (
+                spec.n, spec.gens, spec.weights
+            )
+            count += 1
+        assert count == 8528 + 6 * 38
+
+    @pytest.mark.parametrize(
+        "n, gens, weights, start, length",
+        [
+            # {1, n - 1}: drop the gap (1, n - 1); g = -1 + x - x^2 from x^(n-1).
+            (40, (1, 39), (1, 1), 39, 2),
+            (2000, (1, 1999), (2, 2), 1999, 2),
+            # {0, 1, n - 1}, coefficients -2, -1, -2: the arc [n - 1, 1].
+            (37, (0, 1, 36), (3, 1, 2), 36, 2),
+            (5000, (0, 1, 4999), (3, 1, 2), 4999, 2),
+            # w_0 = 1 leaves 0 out of the arc: [2, 3], then [n - 1, 1] around 0.
+            (40, (0, 2, 3), (1, 1, 2), 2, 1),
+            (10, (0, 1, 9), (1, 1, 1), 9, 2),
+            # No arc beats [s_1, s_k]; the wrap gap wins the tie in the second.
+            (40, (3, 5, 8), (1, 1, 1), 0, 8),
+            (6, (0, 3), (2, 1), 0, 3),
+        ],
+    )
+    def test_pins_the_arc(self, n, gens, weights, start, length):
+        spec = CayleySpec.cyclic(n, gens, weights)
+        arc_start, g = _stripped_weight_polynomial(spec)
+        assert (arc_start, len(g) - 1) == (start, length)
+        if n <= 40:
+            assert cayley_det(spec) == circulant_det(cayley_circulant(spec))
+            representer_poly = representer(cayley_circulant(spec))
+            expected = bool(singular_cyclotomic_divisors(representer_poly, n))
+            assert is_cayley_singular(spec) == expected
 
     @pytest.mark.parametrize("n", [10**4, 10**4 + 1])
     def test_loop_plus_step_closed_form(self, n):
@@ -274,18 +321,22 @@ class TestIsCayleySingular:
 
     def test_matches_representer_divisors_on_small_specs(self):
         # Every (n, S, w) with n <= 12, |S| <= 3 and weights <= 3: 0 in S,
-        # zero f and non-generating specs included.
+        # zero f and non-generating specs included; then the arc families up
+        # to n = 40.
+        small = (
+            CayleySpec.cyclic(n, gens, weights)
+            for n in range(1, 13)
+            for size in (1, 2, 3)
+            for gens in itertools.combinations(range(n), size)
+            for weights in itertools.product((1, 2, 3), repeat=size)
+        )
         count = 0
-        for n in range(1, 13):
-            for size in (1, 2, 3):
-                for gens in itertools.combinations(range(n), size):
-                    for weights in itertools.product((1, 2, 3), repeat=size):
-                        spec = CayleySpec.cyclic(n, gens, weights)
-                        representer_poly = representer(cayley_circulant(spec))
-                        expected = bool(singular_cyclotomic_divisors(representer_poly, n))
-                        assert is_cayley_singular(spec) == expected, (n, gens, weights)
-                        count += 1
-        assert count == 22113
+        for spec in itertools.chain(small, arc_families()):
+            representer_poly = representer(cayley_circulant(spec))
+            expected = bool(singular_cyclotomic_divisors(representer_poly, spec.n))
+            assert is_cayley_singular(spec) == expected, (spec.n, spec.gens, spec.weights)
+            count += 1
+        assert count == 22113 + 6 * 38
 
     def test_zero_f_is_singular(self):
         for n in (1, 4, 7):

@@ -15,8 +15,10 @@ from k0lab.errors import (
     InvalidSpecError,
     NotGeneratingError,
 )
+from k0lab.classify import dihedral_theorem_row
 from k0lab.graphs import (
     CayleySpec,
+    DihedralGroup,
     DirectedMultigraph,
     build_cayley,
 )
@@ -662,3 +664,114 @@ class TestShortestWindow:
                         assert report.snf_diag == snf_diagonal(p), (n, gens, weights)
                         count += 1
         assert count == 4661
+
+
+class TestDihedralTwin:
+    """{r^a, r^k s} in D_m with unit weights, m >= 3, gcd(a, m) = 1: K0, the
+    order of [1] and det come from the cyclic twin C_m({1, m - 1}); the
+    sparse path on the raw Cayley graph is the reference."""
+
+    FIELDS = ("det_value", "k0", "identity_order", "snf_diag", "method", "classification")
+
+    @staticmethod
+    def _fields(report):
+        return tuple(getattr(report, field) for field in TestDihedralTwin.FIELDS)
+
+    def test_matches_the_sparse_path_on_every_spec(self, monkeypatch):
+        expected, specs = [], []
+        for m in range(3, 25):
+            for a in range(1, m):
+                if gcd(a, m) != 1:
+                    continue
+                for k in range(m):
+                    # Generators in either order; both are the same graph.
+                    gens = (a, m + k) if (a + k) % 2 else (m + k, a)
+                    spec = CayleySpec(DihedralGroup(m), gens, (1, 1))
+                    specs.append(spec)
+                    expected.append(self._fields(analyze(build_cayley(spec))))
+
+        def forbidden(*args):
+            raise AssertionError("a 2m-vertex graph on the twin path")
+
+        monkeypatch.setattr(k0lab.k0, "build_cayley", forbidden)
+        monkeypatch.setattr(DirectedMultigraph, "i_minus_at", forbidden)
+        for spec, want in zip(specs, expected):
+            got = analyze(spec, method="full")
+            assert self._fields(got)[:4] == want[:4], (spec.group.n, spec.gens)
+            assert (got.method, got.group_kind) == ("full_snf", "dihedral")
+            assert analyze(spec) == got
+        assert len(specs) == 2912
+
+    def test_det_is_the_twins_cayley_det(self, monkeypatch):
+        twins = []
+        cayley_det = k0lab.circulant.cayley_det
+
+        def recording(spec):
+            twins.append((spec.n, spec.gens, spec.weights))
+            return cayley_det(spec)
+
+        monkeypatch.setattr(k0lab.circulant, "cayley_det", recording)
+        report = analyze(CayleySpec(DihedralGroup(10), (13, 3), (1, 1)))
+        assert twins == [(10, (1, 9), (1, 1))]
+        assert (report.det_value, report.k0) == (-3, FinAbGroup((3,)))
+
+    def test_dihedral_family_matches_the_theorem_table(self):
+        for m in range(1, 301):
+            report = analyze(CayleySpec.dihedral(m))
+            assert report.k0 == dihedral_theorem_row(m)[0], m
+            assert report.identity_order == 1 and report.method == "full_snf"
+            assert len(report.snf_diag) == 2 * m
+        report = analyze(CayleySpec.dihedral(10_000))
+        assert report.k0 == dihedral_theorem_row(10_000)[0] == FinAbGroup((3,))
+        assert report.snf_diag == (1,) * 19_999 + (3,)
+        assert report.det_value == -3
+
+    @pytest.mark.parametrize(
+        "m, gens, weights",
+        [
+            (7, (1, 7), (1, 2)),  # weights other than (1, 1)
+            (7, (1, 7), (2, 1)),
+            (6, (6, 7), (1, 1)),  # two reflections
+            (7, (7, 9), (1, 1)),
+            (2, (1, 2), (1, 1)),  # m <= 2
+            (1, (0, 1), (1, 1)),
+        ],
+    )
+    def test_other_specs_take_the_sparse_path(self, monkeypatch, m, gens, weights):
+        spec = CayleySpec(DihedralGroup(m), gens, weights)
+        want = analyze(build_cayley(spec))
+        built = []
+        monkeypatch.setattr(
+            k0lab.k0, "build_cayley", lambda s: built.append(s) or build_cayley(s)
+        )
+        got = analyze(spec)
+        assert built == [spec]
+        assert self._fields(got)[:4] == self._fields(want)[:4]
+
+    @pytest.mark.parametrize(
+        "m, gens", [(6, (2, 6)), (9, (3, 10)), (8, (14, 4)), (4, (0, 5)), (5, (2, 4))]
+    )
+    def test_non_coprime_rotation_does_not_generate(self, monkeypatch, m, gens):
+        built = []
+        monkeypatch.setattr(
+            k0lab.k0, "build_cayley", lambda s: built.append(s) or build_cayley(s)
+        )
+        with pytest.raises(NotGeneratingError, match="^S does not generate the group$"):
+            analyze(CayleySpec(DihedralGroup(m), gens, (1, 1)))
+        assert len(built) == 1
+
+    def test_companion_methods_still_refuse_dihedral_specs(self):
+        for method in ("companion", "both"):
+            with pytest.raises(InvalidSpecError):
+                analyze(CayleySpec.dihedral(7), method=method)
+
+    def test_twin_report_is_witnessed(self, monkeypatch):
+        real_reduce = k0lab.k0.cokernel_with_class
+
+        def doubled_order(m, vec=None):
+            diag, group, order = real_reduce(m, vec)
+            return diag, group, 2 * order
+
+        monkeypatch.setattr(k0lab.k0, "cokernel_with_class", doubled_order)
+        with pytest.raises(InternalCheckError, match="does not divide W - 1 = 1"):
+            analyze(CayleySpec.dihedral(40))
