@@ -671,7 +671,7 @@ class TestDihedralTwin:
     order of [1] and det come from the cyclic twin C_m({1, m - 1}); the
     sparse path on the raw Cayley graph is the reference."""
 
-    FIELDS = ("det_value", "k0", "identity_order", "snf_diag", "method", "classification")
+    FIELDS = ("det_value", "k0", "identity_order", "snf_diag")
 
     @staticmethod
     def _fields(report):
@@ -697,7 +697,7 @@ class TestDihedralTwin:
         monkeypatch.setattr(DirectedMultigraph, "i_minus_at", forbidden)
         for spec, want in zip(specs, expected):
             got = analyze(spec, method="full")
-            assert self._fields(got)[:4] == want[:4], (spec.group.n, spec.gens)
+            assert self._fields(got) == want, (spec.group.n, spec.gens)
             assert (got.method, got.group_kind) == ("full_snf", "dihedral")
             assert analyze(spec) == got
         assert len(specs) == 2912
@@ -746,7 +746,7 @@ class TestDihedralTwin:
         )
         got = analyze(spec)
         assert built == [spec]
-        assert self._fields(got)[:4] == self._fields(want)[:4]
+        assert self._fields(got) == self._fields(want)
 
     @pytest.mark.parametrize(
         "m, gens", [(6, (2, 6)), (9, (3, 10)), (8, (14, 4)), (4, (0, 5)), (5, (2, 4))]
