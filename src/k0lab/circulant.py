@@ -7,8 +7,9 @@ the circulant I - A^t of a weighted Cayley graph over Z_n, ``cayley_det``
 takes the same product from f = 1 - sum w(s) x^s read along the shortest
 arc of Z_n that holds its nonzero coefficients, a polynomial g of degree
 L <= s_k: it reduces x^n mod g by square-and-multiply, O(L^2 log n)
-products, and runs the resultant on polynomials of degree at most L.  Singularity is
-decided by exact cyclotomic divisibility, never by floating point.
+products, and runs the resultant on polynomials of degree at most L.
+Singularity is decided by exact cyclotomic divisibility, never by
+floating point.
 """
 
 from __future__ import annotations
