@@ -371,10 +371,10 @@ def cayley_det(spec) -> int:
     """det(I - A^t) for a weighted Cayley graph over Z_n, from x^n mod g.
 
     The value is prod f(zeta) over the n-th roots of unity zeta, with
-    f = 1 - sum_s w(s) x^s.  ``_stripped_weight_polynomial`` writes f as
-    x^a g modulo x^n - 1, g read along the shortest arc of Z_n that holds
-    every nonzero coefficient of f, so deg g <= s_k and is 2 for S =
-    {1, n - 1}.  The value equals ``circulant_det`` of
+    f = 1 - sum_s w(s) x^s.  ``weight_arc`` writes f as x^a g modulo
+    x^n - 1, g read along the shortest arc of Z_n that holds every nonzero
+    coefficient of f, so deg g <= s_k and is 2 for S = {1, n - 1}, and
+    ``x_pow_mod`` reduces x^n mod g.  The value equals ``circulant_det`` of
     ``cayley_circulant(spec)``, but no polynomial of degree above deg g is
     built.  The factor x^a contributes (prod zeta)^a = (-1)^((n+1)a), and
     a constant factor c contributes c^n.  For the rest, of degree d >= 1
@@ -387,7 +387,7 @@ def cayley_det(spec) -> int:
     step, as a pseudo-remainder does.
     """
     n = spec.n
-    start, g = _stripped_weight_polynomial(spec)
+    start, g = weight_arc(spec)
     if not g:
         return 0
     content = gcd(*g)
@@ -400,7 +400,7 @@ def cayley_det(spec) -> int:
         g.reverse()
         sign *= -1 if (n + 1) * d % 2 else 1
     b = g[-1]
-    q, e = _x_pow_mod(g, n)
+    q, e = x_pow_mod(g, n)
     q[0] -= b**e
     r = _trimmed(q)
     if r.is_zero:
@@ -417,15 +417,21 @@ def cayley_det(spec) -> int:
     return sign * (-1) ** (n * d) * content**n * value
 
 
-def _stripped_weight_polynomial(spec) -> tuple[int, list[int]]:
+def weight_arc(spec, unit_end: bool = False) -> tuple[int, list[int]]:
     """(a, coefficients of g) with f = x^a g modulo x^n - 1 for f = 1 - sum_s
     w(s) x^s, g read along the shortest arc of Z_n that holds every nonzero
     coefficient of f; (0, []) when f is zero.
 
     The arc drops the largest gap between cyclically consecutive nonzero
     coefficients, the wrap gap included, and starts at a, the gap's upper
-    end; deg g is the arc's length.  Ties keep the wrap gap, so when no arc
-    is shorter, x^a is the largest power of x dividing f and g = f / x^a.
+    end; deg g is the arc's length, and a lone point's gap is n.  Ties keep
+    the wrap gap, so when no arc is shorter, x^a is the largest power of x
+    dividing f and g = f / x^a.  With ``unit_end`` only a gap with a
+    coefficient +-1 at one end may be dropped, so g[0] or g[-1] is +-1; such
+    a gap exists when 0 is not in S, since f then has constant term 1.  The
+    companion side reads its monic window off that arc
+    (``k0._shortest_window``).  ``cayley_det`` and ``is_cayley_singular``
+    take the shortest arc whatever its ends.
     """
     if not spec.is_cyclic:
         raise ValueError("circulant analysis needs a cyclic-group spec")
@@ -435,9 +441,9 @@ def _stripped_weight_polynomial(spec) -> tuple[int, list[int]]:
     points = sorted(q for q, c in coeffs.items() if c)
     if not points:
         return 0, []
-    gap, start = points[0] + n - points[-1], points[0]  # the wrap gap first
-    for low, high in zip(points, points[1:]):
-        if high - low > gap:
+    gap, start = 0, None
+    for low, high in zip([points[-1] - n, *points], points):  # the wrap gap first
+        if high - low > gap and (not unit_end or 1 in (abs(coeffs[low % n]), abs(coeffs[high]))):
             gap, start = high - low, high
     g = [0] * (n - gap + 1)
     for q in points:
@@ -445,12 +451,15 @@ def _stripped_weight_polynomial(spec) -> tuple[int, list[int]]:
     return start, g
 
 
-def _x_pow_mod(f: list[int], n: int) -> tuple[list[int], int]:
+def x_pow_mod(f: list[int], n: int) -> tuple[list[int], int]:
     """(q, e) with b^e x^n = q mod f over Z, deg q < d: square-and-multiply.
 
     f has degree d >= 1 and leading coefficient b.  Each reduction step
     cancels the top coefficient after scaling the rest by b, so the
-    denominator of x^n mod f stays an exact power of b and no gcd is taken.
+    denominator of x^n mod f stays an exact power of b and no gcd is taken;
+    for a monic f, e = 0 and q is x^n mod f.  This is the one power of x in
+    the package: ``cayley_det`` reduces x^n mod g here, and the companion
+    side (``k0._companion_presentation``) x^n mod (x - 1) h.
     """
     d = len(f) - 1
     b = f[-1]
@@ -485,11 +494,11 @@ def is_cayley_singular(spec) -> bool:
     at the n-th roots of unity, and the roots of Phi_d are closed under
     inversion, so Phi_d divides p exactly when it divides f.  For d | n
     that holds exactly when Phi_d divides g, where f = x^a g modulo x^n - 1
-    on the shortest arc (``_stripped_weight_polynomial``): the two agree
-    up to a power of zeta at every n-th root of unity.  Only the d | n with
-    phi(d) at most deg g can divide g.  A zero f is singular.
+    on the shortest arc (``weight_arc``): the two agree up to a power of
+    zeta at every n-th root of unity.  Only the d | n with phi(d) at most
+    deg g can divide g.  A zero f is singular.
     """
-    _, g = _stripped_weight_polynomial(spec)
+    _, g = weight_arc(spec)
     if not g:
         return True
     rest, degree = IntPolynomial(tuple(g)), len(g) - 1

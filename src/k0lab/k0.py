@@ -13,9 +13,10 @@ The shortcut takes the shortest such arc (L <= s_k) and yields all three
 invariants from the L x L matrix P = T^n - I alone, T the companion
 matrix of h: K0 = Coker P, [1] maps to g = sum_{i<n} T^i e_L, and det(I -
 A^t) is +-det P.  No n x n graph or matrix is built on that path.  T is
-multiplication by x on Z[x]/(h), so P and g come from one
-square-and-multiply pass over the bits of n in that ring: O(L^2 log n)
-products, with no matrix power.
+multiplication by x on Z[x]/(h), so P and g come from x^n mod (x - 1) h,
+one ``circulant.x_pow_mod`` call: O(L^2 log n) products, with no matrix
+power.  ``circulant.weight_arc`` chooses the arc for this side and for
+``circulant.cayley_det`` alike.
 
 A generating {r^a, r^k s} of D_m with unit weights and m >= 3 goes the same
 way: Z[D_m] is free of rank 2 over Z[x]/(x^m - 1), and the image of
@@ -82,52 +83,27 @@ def _char_poly(gens: tuple[int, ...], weights: tuple[int, ...]) -> circ.IntPolyn
     return circ.IntPolynomial.of(coeffs)
 
 
-@dataclass(frozen=True)
-class Window:
-    """The arc of Z_n that the companion side reduces, as a monic h of degree L.
+def _shortest_window(spec: CayleySpec) -> tuple[circ.IntPolynomial, int]:
+    """(h, sign): the monic h of degree L that the companion side reduces for
+    a cyclic spec with 0 not in S, and det(I - A^t) = sign det(T_h^n - I).
 
-    The arc runs from ``start`` upward, through the wrap, over L steps, and
-    g(x) = sum c_q x^{(q - start) mod n} over the points q of {0} and S,
-    with c_0 = 1 and c_s = -w(s).  h is c g when ``reversed`` is false and
-    c x^L g(1/x) when it is true, c = +-1 the coefficient of the end that
-    becomes the leading one.  det(I - A^t) = ``det_sign`` det(T_h^n - I).
+    g comes from the shortest arc of Z_n with a unit end
+    (``circulant.weight_arc``), which starts at a and has length L.  h is c g,
+    or c x^L g(1/x) when g[0] is a unit (the arc is reversed), c = +-1 the
+    coefficient of the end that becomes the leading one.  Ties go to the wrap
+    gap (s_k, 0), so the arc [0, s_k], reversed, gives ``_char_poly``
+    whenever no arc is shorter.  prod f(zeta) over the n-th roots of unity
+    is prod zeta^a g(zeta) and det(T_h^n - I) = (-1)^{nL} prod h(zeta), which
+    gives the sign (-1)^{(n+1)a + nL [+ (n+1)L if reversed]} c^n.
     """
-
-    start: int
-    reversed: bool
-    h: circ.IntPolynomial
-    det_sign: int
-
-
-def _shortest_window(n: int, gens: tuple[int, ...], weights: tuple[int, ...]) -> Window:
-    """Drop the largest gap between consecutive points of {0} and S (0 not in S)
-    that has a unit coefficient at one end.
-
-    The arc starts at the gap's upper end a and is reversed when c_a is a
-    unit.  Ties go to the wrap gap (s_k, 0), so the arc [0, s_k], reversed,
-    gives ``_char_poly`` whenever no arc is shorter.  With L the arc's
-    length, prod f(zeta) over the n-th roots of unity is prod zeta^a g(zeta)
-    and det(T_h^n - I) = (-1)^{nL} prod h(zeta), which gives the sign
-    (-1)^{(n+1)a + nL [+ (n+1)L if reversed]} c^n.
-    """
-    points = [(0, 1), *zip(gens, (-w for w in weights))]
-    best = None
-    for i in range(-1, len(points) - 1):  # the wrap gap first
-        (low, c_low), (high, c_high) = points[i], points[i + 1]
-        gap = (high - low) % n
-        if (abs(c_low) == 1 or abs(c_high) == 1) and (best is None or gap > best[0]):
-            best = gap, high, c_low, c_high
-    gap, start, c_low, c_high = best
-    length = n - gap
-    flip = abs(c_high) == 1
-    c = c_high if flip else c_low
-    coeffs = [0] * (length + 1)
-    for q, cq in points:
-        pos = (q - start) % n
-        coeffs[length - pos if flip else pos] = c * cq
+    n = spec.n
+    start, g = circ.weight_arc(spec, unit_end=True)
+    length = len(g) - 1
+    flip = abs(g[0]) == 1
+    c = g[0] if flip else g[-1]
+    h = circ.IntPolynomial(tuple(c * a for a in (g[::-1] if flip else g)))
     exponent = (n + 1) * start + n * length + (n + 1) * length * flip
-    sign = (-1 if exponent % 2 else 1) * (c if n % 2 else 1)
-    return Window(start, flip, circ.IntPolynomial(tuple(coeffs)), sign)
+    return h, (-1 if exponent % 2 else 1) * (c if n % 2 else 1)
 
 
 def _stated_diagonal(group: FinAbGroup, size: int) -> tuple[int, ...]:
@@ -187,25 +163,29 @@ def _companion_presentation(h: circ.IntPolynomial, n: int) -> tuple[IntMatrix, l
     """P = T^n - I and g = sum_{i<n} T^i e_L for the companion matrix T of monic h of degree L.
 
     T is multiplication by x on Z[x]/(h) in the basis 1, x, ..., x^{L - 1},
-    so column j of T^n is x^{n+j} mod h and g is x^{L - 1} N(n) mod h, with
-    N(m) = 1 + x + ... + x^{m-1}.  One pass over the bits of n gives x^n and
-    N(n) together: N(2m) = N(m)(1 + x^m) and N(m + 1) = N(m) + x^m.
+    so column j of T^n is x^{n+j} mod h and g is x^{L - 1} N mod h, with
+    N = 1 + x + ... + x^{n-1}.  One ``circulant.x_pow_mod`` call gives
+    r = x^n mod (x - 1) h, of degree at most L, and both: x^n mod h is
+    r - r_L h, and x^n - 1 = q (x - 1) h + (r - 1) makes N mod h the
+    quotient (r - 1) / (x - 1), whose coefficients are the suffix sums of
+    r[1:].  The other columns, and g, follow by multiplying by x mod h.
     """
-    sk = h.degree()
-    one, x = circ.IntPolynomial.x_power(0), circ.IntPolynomial.x_power(1)
-    power, total = one, circ.IntPolynomial()  # x^m and N(m) mod h, from m = 0
-    for bit in bin(n)[2:]:
-        total = (total * (one + power)) % h
-        power = (power * power) % h
-        if bit == "1":
-            total, power = total + power, (power * x) % h
+    sk, hc = h.degree(), h.coeffs
+    r, _ = circ.x_pow_mod([a - b for a, b in zip((0, *hc), (*hc, 0))], n)
+
+    def times_x(p: list[int]) -> list[int]:
+        return [a - p[-1] * c for a, c in zip([0, *p[:-1]], hc)]
+
+    power = [a - r[sk] * c for a, c in zip(r[:sk], hc)]
+    total = [sum(r[j + 1:]) for j in range(sk)]
     columns = []
     for _ in range(sk):
-        columns.append(power.coeffs + (0,) * (sk - len(power.coeffs)))
-        power = (power * x) % h
+        columns.append(power)
+        power = times_x(power)
+    for _ in range(sk - 1):
+        total = times_x(total)
     p = IntMatrix.from_rows([[c[i] - (i == j) for j, c in enumerate(columns)] for i in range(sk)])
-    g = ((total * circ.IntPolynomial.x_power(sk - 1)) % h).coeffs
-    return p, list(g) + [0] * (sk - len(g))
+    return p, total
 
 
 def json_text(obj) -> str:
@@ -381,15 +361,15 @@ def analyze(
 
     if method != "full_snf" or twin:
         cyclic = twin or spec
-        window = _shortest_window(cyclic.n, cyclic.gens, cyclic.weights)
-        p, g = _companion_presentation(window.h, cyclic.n)
+        h, window_sign = _shortest_window(cyclic)
+        p, g = _companion_presentation(h, cyclic.n)
         _, k0_result, order = cokernel_with_class(p, g)
         if twin:  # the full_snf report of the 2m x 2m matrix, from the twin
             diag = _stated_diagonal(k0_result, n)
             det_value = circ.cayley_det(twin)
         else:
             diag = _stated_diagonal(k0_result, max(spec.gens))
-            det_value = window.det_sign * det(p)
+            det_value = window_sign * det(p)
     if method != "companion_reduction" and not twin:
         if graph is None:
             graph = build_cayley(spec)
@@ -499,7 +479,7 @@ def closed_form_S01(n: int, a: int, b: int) -> FinAbGroup:
     if a == b + 1 and n % 2 == 0:
         return FinAbGroup.from_invariants([d] * (n - 1), free_rank=1)
     big = abs((1 - a) ** n - b**n)
-    last = big // d ** (n - 1) if d else big
+    last = big // d ** (n - 1)
     return FinAbGroup.from_invariants([d] * (n - 1) + [last])
 
 

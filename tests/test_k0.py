@@ -62,15 +62,19 @@ class TestCompanionMatrix:
             companion_matrix(CayleySpec.cyclic(5, [0, 1]))
 
     def test_identity_class_is_orbit_sum_of_last_basis_vector(self):
-        # g = sum_{i<n} T^i e_{s_k}: the sum of the last columns of T^0..T^(n-1).
+        # g = sum_{i<n} T^i e_L: the sum of the last columns of T^0..T^(n-1).
         # Every T^j g has the same order in Coker(T^n - I), so the differential
         # tests cannot tell g from e.g. sum T^i e_1; this pins the vector itself.
+        cases = []
         for n, gens, weights in [(6, (2, 3), (1, 1)), (11, (1, 4, 5), (2, 1, 3)), (9, (2,), (3,))]:
-            spec = CayleySpec.cyclic(n, gens, weights)
-            t = companion_matrix(spec).matrix
-            sk = max(gens)
-            expected = [sum(mat_pow(t, i).at(j, sk - 1) for i in range(n)) for j in range(sk)]
-            assert _companion_presentation(companion_matrix(spec).char_poly, n)[1] == expected
+            comp = companion_matrix(CayleySpec.cyclic(n, gens, weights))
+            cases.append((comp.char_poly, comp.matrix, n))
+        for h, n in _window_cases():
+            cases.append((h, _multiplication_by_x(h), n))
+        for h, t, n in cases:
+            size = h.degree()
+            expected = [sum(mat_pow(t, i).at(j, size - 1) for i in range(n)) for j in range(size)]
+            assert _companion_presentation(h, n)[1] == expected, (h, n)
 
     def test_ring_power_matches_mat_pow(self):
         # P from Z[x]/(h) against T^n - I by matrix powers, with steps up to
@@ -87,6 +91,34 @@ class TestCompanionMatrix:
                         assert p == mat_pow(comp.matrix, n) - IntMatrix.identity(comp.size)
                         count += 1
         assert count > 4000
+        for h, n in _window_cases():
+            expected = mat_pow(_multiplication_by_x(h), n) - IntMatrix.identity(h.degree())
+            assert _companion_presentation(h, n)[0] == expected, (h, n)
+
+
+# Window h's with what the s_k presentations above never have: a reversed
+# and an unreversed arc, a constant term -2 or 2, the twin's x^2 - x + 1,
+# h(1) = 0 where W = 1, and n = 2^k - 1, every bit of n set.
+WINDOW_SPECS = [
+    (10, (2, 7), (1, 1)),
+    (12, (4, 6, 11), (2, 2, 2)),
+    (9, (2,), (1,)),
+    (7, (3,), (1,)),
+    *((n, (1, n - 1), (1, 1)) for n in (3, 7, 15, 31, 63)),
+    *((n, (2, n - 3), (1, 2)) for n in (15, 31, 63)),
+]
+
+
+def _window_cases():
+    return [(_shortest_window(CayleySpec.cyclic(*case))[0], case[0]) for case in WINDOW_SPECS]
+
+
+def _multiplication_by_x(h):
+    """T_h, multiplication by x on Z[x]/(h) in the basis 1, x, ..., x^(L - 1)."""
+    size = h.degree()
+    return IntMatrix.from_rows(
+        [[int(j == i - 1) for j in range(size - 1)] + [-h.coeffs[i]] for i in range(size)]
+    )
 
 
 def _companion_k0(spec):
@@ -608,10 +640,14 @@ class TestShortestWindow:
         ],
     )
     def test_pins_the_window(self, n, gens, weights, start, length, flipped, h):
-        window = _shortest_window(n, gens, weights)
-        assert (window.start, window.h.degree(), window.reversed) == (start, length, flipped)
-        assert window.h == IntPolynomial.of(h)
         spec = CayleySpec.cyclic(n, gens, weights)
+        arc_start, g = k0lab.circulant.weight_arc(spec, unit_end=True)
+        window = _shortest_window(spec)[0]
+        assert (arc_start, len(g) - 1) == (start, length)
+        assert window == IntPolynomial.of(h)
+        # h is c g, or c g reversed, c = +-1 the end that becomes the leading one.
+        c = g[0] if flipped else g[-1]
+        assert window.coeffs == tuple(c * a for a in (g[::-1] if flipped else g))
         companion = analyze(spec, method="companion")
         assert companion.det_value == k0lab.circulant.cayley_det(spec)
         if n <= 40:
@@ -621,9 +657,11 @@ class TestShortestWindow:
     def test_ties_keep_the_arc_from_zero(self):
         # In each, a gap with a unit end is as long as the wrap gap (s_k, 0).
         for n, gens, weights in [(2, (1,), (2,)), (5, (1, 3), (1, 1)), (8, (2, 5), (1, 2))]:
-            window = _shortest_window(n, gens, weights)
-            assert window.start == 0 and window.reversed
-            assert window.h == _char_poly(gens, weights)
+            spec = CayleySpec.cyclic(n, gens, weights)
+            start, g = k0lab.circulant.weight_arc(spec, unit_end=True)
+            window = _shortest_window(spec)[0]
+            assert start == 0 and window.coeffs == tuple(g[::-1])
+            assert window == _char_poly(gens, weights)
 
     def test_auto_reduces_a_two_by_two_on_c1000_1_999(self, monkeypatch):
         spec = CayleySpec.cyclic(1000, [1, 999])
