@@ -96,9 +96,9 @@ class TestCompanionMatrix:
             assert _companion_presentation(h, n)[0] == expected, (h, n)
 
 
-# Window h's with what the s_k presentations above never have: a reversed
-# and an unreversed arc, a constant term -2 or 2, the twin's x^2 - x + 1,
-# h(1) = 0 where W = 1, and n = 2^k - 1, every bit of n set.
+# Window h's: a reversed and an unreversed arc, constant terms -2 and 2,
+# the twin's x^2 - x + 1, h(1) = 0 where W = 1, and n = 2^k - 1, every bit
+# of n set.
 WINDOW_SPECS = [
     (10, (2, 7), (1, 1)),
     (12, (4, 6, 11), (2, 2, 2)),
