@@ -5,9 +5,10 @@ of the representer polynomial over all n-th roots of unity, which
 ``circulant_det`` computes exactly as a resultant against x^n - 1.  For
 the circulant I - A^t of a weighted Cayley graph over Z_n, ``cayley_det``
 takes the same product from f = 1 - sum w(s) x^s read along the shortest
-arc of Z_n that holds its nonzero coefficients, a polynomial g of degree
-L <= s_k: it reduces x^n mod g by square-and-multiply, O(L^2 log n)
-products, and runs the resultant on polynomials of degree at most L.
+arc of Z_n that holds its nonzero coefficients, a polynomial h of degree
+L <= s_k: it reduces x^n mod h by square-and-multiply, O(L^2 log n)
+products, and runs the resultant on polynomials of degree at most L.  One
+pseudo-remainder loop on int lists (``_reduce``) serves both steps.
 Singularity is decided by exact cyclotomic divisibility, never by
 floating point.
 """
@@ -40,12 +41,6 @@ class IntPolynomial:
             c.pop()
         return cls(tuple(c))
 
-    @classmethod
-    def x_power(cls, k: int, coeff: int = 1) -> "IntPolynomial":
-        if coeff == 0:
-            return cls()
-        return cls((0,) * k + (coeff,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -53,17 +48,6 @@ class IntPolynomial:
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
-
-    def leading(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -79,9 +63,6 @@ class IntPolynomial:
             a[i] -= c
         return _trimmed(a)
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero or other.is_zero:
             return IntPolynomial()
@@ -91,16 +72,6 @@ class IntPolynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return _trimmed(out)
-
-    def scale(self, k: int) -> "IntPolynomial":
-        if k == 0:
-            return IntPolynomial()
-        return IntPolynomial(tuple(k * c for c in self.coeffs))
-
-    def scale_exact_div(self, k: int) -> "IntPolynomial":
-        if any(c % k for c in self.coeffs):
-            raise ValueError("coefficients not divisible")
-        return IntPolynomial(tuple(c // k for c in self.coeffs))
 
     def divmod_by(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Division in Z[x]; every elimination step must divide exactly.
@@ -291,59 +262,82 @@ def nullity_from_cyclotomics(p: IntPolynomial, n: int) -> int:
     return sum(euler_phi(d) for d in singular_cyclotomic_divisors(p, n))
 
 
-def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a reduced mod b."""
-    da, db = a.degree(), b.degree()
-    lb = b.leading()
-    r = a
-    e = da - db + 1
-    while not r.is_zero and r.degree() >= db:
-        shift = r.degree() - db
-        r = r.scale(lb) - b * IntPolynomial.x_power(shift, r.leading())
-        e -= 1
-    if e > 0:
-        r = r.scale(lb**e)
-    return r
-
-
 def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
     """Res(f, g) over Z via the fraction-free subresultant remainder sequence.
 
     Sign convention: Res(f, g) = lc(f)^deg(g) * prod g(alpha) over the roots
     alpha of f, so with f = x^n - 1 this is exactly the product of g over
-    all n-th roots of unity.
+    all n-th roots of unity.  ``_resultant`` does the work on int lists.
     """
-    if f.is_zero or g.is_zero:
+    return _resultant(list(f.coeffs), list(g.coeffs))
+
+
+def _resultant(a: list[int], b: list[int]) -> int:
+    """``resultant`` on coefficient lists without trailing zeros, left as they are.
+
+    Collins' subresultant sequence (J. ACM 14, 1967): each step replaces
+    (a, b) by (b, r), r = lc(b)^(delta + 1) a mod b over g h^delta exactly.
+    """
+    if not a or not b:
         return 0
-    if f.degree() == 0:
-        return f.leading() ** g.degree()
-    if g.degree() == 0:
-        return g.leading() ** f.degree()
-    a, b = f, g
+    if len(a) == 1:
+        return a[0] ** (len(b) - 1)
+    if len(b) == 1:
+        return b[0] ** (len(a) - 1)
     sign = 1
-    if a.degree() < b.degree():
-        if a.degree() % 2 == 1 and b.degree() % 2 == 1:
+    if len(a) < len(b):
+        if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
             sign = -1
         a, b = b, a
-    ca, cb = a.content(), b.content()
-    scale = ca ** b.degree() * cb ** a.degree()
-    a = a.scale_exact_div(ca)
-    b = b.scale_exact_div(cb)
+    ca, cb = gcd(*a), gcd(*b)
+    scale = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a = [c // ca for c in a]
+    b = [c // cb for c in b]
     g_coef, h_coef = 1, 1
-    while b.degree() > 0:
-        delta = a.degree() - b.degree()
-        if a.degree() % 2 == 1 and b.degree() % 2 == 1:
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
             sign = -sign
-        r = _pseudo_rem(a, b)
-        a = b
-        b = r.scale_exact_div(g_coef * h_coef**delta) if not r.is_zero else r
-        g_coef = a.leading()
+        lift = b[-1] ** (delta + 1 - _reduce(a, b))
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            return 0
+        r = [c * lift for c in a]
+        divisor = g_coef * h_coef**delta
+        if any(c % divisor for c in r):
+            raise InternalCheckError("subresultant step did not divide exactly")
+        a, b = b, [c // divisor for c in r]
+        g_coef = a[-1]
         if delta > 0:
             h_coef = g_coef**delta // h_coef ** (delta - 1)
-        if b.is_zero:
-            return 0
-    final = b.leading() ** a.degree() // h_coef ** (a.degree() - 1)
+    final = b[-1] ** (len(a) - 1) // h_coef ** (len(a) - 2)
     return sign * scale * final
+
+
+def _reduce(c: list[int], f: list[int]) -> int:
+    """Reduce c modulo f in place to b^e c mod f, cut to length deg f; returns e.
+
+    b = lc(f).  Each step cancels the top coefficient t of c after scaling
+    the coefficients below it by b, and is skipped when t is 0; with b = 1
+    nothing is scaled and e = 0.  This is the one pseudo-remainder loop in
+    the package: ``x_pow_mod`` and ``_resultant`` both reduce here.
+    """
+    d = len(f) - 1
+    b = f[-1]
+    low = f[:-1]
+    e = 0
+    for top in range(len(c) - 1, d - 1, -1):
+        t = c[top]
+        if t:
+            if b != 1:
+                for i in range(top):
+                    c[i] *= b
+                e += 1
+            for i, a in enumerate(low, top - d):
+                c[i] -= t * a
+    del c[d:]
+    return e
 
 
 def circulant_det(c: Circulant) -> int:
@@ -368,53 +362,72 @@ def cayley_circulant(spec) -> Circulant:
 
 
 def cayley_det(spec) -> int:
-    """det(I - A^t) for a weighted Cayley graph over Z_n, from x^n mod g.
+    """det(I - A^t) for a weighted Cayley graph over Z_n, from x^n mod h.
 
     The value is prod f(zeta) over the n-th roots of unity zeta, with
-    f = 1 - sum_s w(s) x^s.  ``weight_arc`` writes f as x^a g modulo
-    x^n - 1, g read along the shortest arc of Z_n that holds every nonzero
-    coefficient of f, so deg g <= s_k and is 2 for S = {1, n - 1}, and
-    ``x_pow_mod`` reduces x^n mod g.  The value equals ``circulant_det`` of
-    ``cayley_circulant(spec)``, but no polynomial of degree above deg g is
-    built.  The factor x^a contributes (prod zeta)^a = (-1)^((n+1)a), and
-    a constant factor c contributes c^n.  For the rest, of degree d >= 1
-    and leading coefficient b, the product is Res(x^n - 1, g) =
-    (-1)^(nd) Res(g, x^n - 1) = (-1)^(nd) b^(n - deg r) Res(g, r), with
-    r = (x^n - 1) mod g over Q carried as q / b^e, q over Z.  Since
-    x -> 1/x permutes the roots of unity, the reversal of g serves as well,
-    up to the sign (-1)^((n+1)d); the end with the smaller coefficient is
-    taken as b.  It need not be a unit: the reduction scales by b at each
-    step, as a pseudo-remainder does.
+    f = 1 - sum_s w(s) x^s.  ``oriented_arc`` gives it as sign * prod
+    h(zeta), h read along the shortest arc of Z_n that holds every nonzero
+    coefficient of f, so deg h <= s_k and is 2 for S = {1, n - 1}, with the
+    end of smaller magnitude leading.  The value equals ``circulant_det`` of
+    ``cayley_circulant(spec)``, but no polynomial of degree above deg h is
+    built.  A constant factor c of h contributes c^n.  For the rest, of
+    degree d >= 1 and leading coefficient b, the product is
+    Res(x^n - 1, h) = (-1)^(nd) Res(h, x^n - 1) =
+    (-1)^(nd) b^(n - deg r) Res(h, r), with r = (x^n - 1) mod h over Q
+    carried as q / b^e, q over Z, from ``x_pow_mod``.  b need not be a
+    unit: the reduction scales by b at each step, as a pseudo-remainder
+    does.
     """
     n = spec.n
-    start, g = weight_arc(spec)
-    if not g:
+    sign, h = oriented_arc(spec)
+    if not h:
         return 0
-    content = gcd(*g)
-    g = [c // content for c in g]
-    d = len(g) - 1
-    sign = -1 if (n + 1) * start % 2 else 1
+    content = gcd(*h)
+    h = [c // content for c in h]
+    d = len(h) - 1
     if d == 0:
-        return sign * (content * g[0]) ** n
-    if abs(g[0]) < abs(g[-1]):
-        g.reverse()
-        sign *= -1 if (n + 1) * d % 2 else 1
-    b = g[-1]
-    q, e = x_pow_mod(g, n)
+        return sign * (content * h[0]) ** n
+    b = h[-1]
+    q, e = x_pow_mod(h, n)
     q[0] -= b**e
-    r = _trimmed(q)
-    if r.is_zero:
+    while q and q[-1] == 0:
+        q.pop()
+    if not q:
         return 0
-    # Res(g, q / b^e) = Res(g, q) / b^(ed): the b-exponent nets to n - deg r - ed.
-    value = resultant(IntPolynomial(tuple(g)), r)
-    k = n - r.degree() - e * d
+    # Res(h, q / b^e) = Res(h, q) / b^(ed): the b-exponent nets to n - deg q - ed.
+    value = _resultant(h, q)
+    k = n - (len(q) - 1) - e * d
     if k >= 0:
         value *= b**k
     else:
         value, rest = divmod(value, b**-k)
         if rest:
-            raise InternalCheckError("resultant not divisible by the power of lc(g)")
+            raise InternalCheckError("resultant not divisible by the power of lc(h)")
     return sign * (-1) ** (n * d) * content**n * value
+
+
+def oriented_arc(spec, unit_end: bool = False) -> tuple[int, list[int]]:
+    """(sign, h) with prod f(zeta) = sign * prod h(zeta) over the n-th roots
+    of unity zeta, for f = 1 - sum_s w(s) x^s; (1, []) when f is zero.
+
+    h is the g of ``weight_arc(spec, unit_end)``, with f = x^a g modulo
+    x^n - 1 and deg g = L, reversed when |g[0]| <= |g[-1]|, so that the
+    end of smaller magnitude leads; with ``unit_end`` that end is +-1.
+    x^a contributes (prod zeta)^a = (-1)^((n+1)a) to the sign.  Since
+    x -> 1/x permutes the roots of unity, the reversal x^L g(1/x)
+    contributes (-1)^((n+1)L).  This is the one place the sign of the arc
+    is worked out: ``cayley_det`` and the companion side
+    (``k0._shortest_window``) both read it here.
+    """
+    n = spec.n
+    start, h = weight_arc(spec, unit_end)
+    if not h:
+        return 1, h
+    exponent = (n + 1) * start
+    if abs(h[0]) <= abs(h[-1]):
+        h.reverse()
+        exponent += (n + 1) * (len(h) - 1)
+    return (-1 if exponent % 2 else 1), h
 
 
 def weight_arc(spec, unit_end: bool = False) -> tuple[int, list[int]]:
@@ -428,10 +441,10 @@ def weight_arc(spec, unit_end: bool = False) -> tuple[int, list[int]]:
     the wrap gap, so when no arc is shorter, x^a is the largest power of x
     dividing f and g = f / x^a.  With ``unit_end`` only a gap with a
     coefficient +-1 at one end may be dropped, so g[0] or g[-1] is +-1; such
-    a gap exists when 0 is not in S, since f then has constant term 1.  The
-    companion side reads its monic window off that arc
-    (``k0._shortest_window``).  ``cayley_det`` and ``is_cayley_singular``
-    take the shortest arc whatever its ends.
+    a gap exists when 0 is not in S, since f then has constant term 1.
+    ``oriented_arc`` orients the arc for ``cayley_det``, which takes it
+    whatever its ends, and for the companion side, which takes it with
+    ``unit_end``; ``is_cayley_singular`` reads g as it is.
     """
     if not spec.is_cyclic:
         raise ValueError("circulant analysis needs a cyclic-group spec")
@@ -454,16 +467,15 @@ def weight_arc(spec, unit_end: bool = False) -> tuple[int, list[int]]:
 def x_pow_mod(f: list[int], n: int) -> tuple[list[int], int]:
     """(q, e) with b^e x^n = q mod f over Z, deg q < d: square-and-multiply.
 
-    f has degree d >= 1 and leading coefficient b.  Each reduction step
-    cancels the top coefficient after scaling the rest by b, so the
-    denominator of x^n mod f stays an exact power of b and no gcd is taken;
-    for a monic f, e = 0 and q is x^n mod f.  This is the one power of x in
-    the package: ``cayley_det`` reduces x^n mod g here, and the companion
-    side (``k0._companion_presentation``) x^n mod (x - 1) h.
+    f has degree d >= 1 and leading coefficient b.  After each squaring
+    ``_reduce`` brings the product back below degree d, scaling by b only
+    on the steps that cancel a nonzero top coefficient, so the denominator
+    of x^n mod f stays an exact power of b and no gcd is taken; for a monic
+    f, e = 0 and q is x^n mod f.  This is the one power of x in the
+    package: ``cayley_det`` reduces x^n mod h here, and the companion side
+    (``k0._companion_presentation``) x^n mod (x - 1) h.
     """
     d = len(f) - 1
-    b = f[-1]
-    low = f[:-1]
     q = [1] + [0] * (d - 1)
     e = 0
     for bit in bin(n)[2:]:
@@ -473,17 +485,8 @@ def x_pow_mod(f: list[int], n: int) -> tuple[list[int], int]:
             if a:
                 for j, a2 in enumerate(q, i + shift):
                     c[j] += a * a2
-        e *= 2
-        for top in range(2 * d - 1, d - 1, -1):
-            t = c[top]
-            if t:
-                if b != 1:
-                    for i in range(top):
-                        c[i] *= b
-                    e += 1
-                for i, a in enumerate(low, top - d):
-                    c[i] -= t * a
-        q = c[:d]
+        e = 2 * e + _reduce(c, f)
+        q = c
     return q, e
 
 

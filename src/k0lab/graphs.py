@@ -171,8 +171,8 @@ class FiniteGroupTable:
     identity = 0
 
     def __post_init__(self):
-        if self.order < 1:
-            raise InvalidSpecError("group order must be positive")
+        if not _all_ints((self.order,)) or self.order < 1:
+            raise InvalidSpecError("group order must be a positive integer")
         if len(self.mul) != self.order or any(len(r) != self.order for r in self.mul):
             raise InvalidSpecError("multiplication table must be order x order")
 
@@ -214,8 +214,8 @@ class CyclicGroup:
     identity = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidSpecError("cyclic group order must be positive")
+        if not _all_ints((self.n,)) or self.n < 1:
+            raise InvalidSpecError("cyclic group order must be a positive integer")
 
     @property
     def order(self) -> int:
@@ -242,8 +242,8 @@ class DihedralGroup:
     identity = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidSpecError("dihedral parameter must be positive")
+        if not _all_ints((self.n,)) or self.n < 1:
+            raise InvalidSpecError("dihedral parameter must be a positive integer")
 
     @property
     def order(self) -> int:
@@ -311,7 +311,7 @@ def write_group_table(group: Group) -> str:
 
 @dataclass(frozen=True)
 class CayleySpec:
-    """A finite group with an ordered generating set and positive weights."""
+    """A finite group with ordered int generators and positive int weights."""
 
     group: Group
     gens: tuple[int, ...]
@@ -324,12 +324,13 @@ class CayleySpec:
             raise InvalidSpecError("one weight per generator required")
         if len(set(self.gens)) != len(self.gens):
             raise InvalidSpecError("generators must be distinct")
+        if not _all_ints(self.gens):
+            raise InvalidSpecError("generators must be integers")
         for g in self.gens:
             if not 0 <= g < self.group.order:
                 raise InvalidSpecError(f"generator {g} outside the group")
-        for w in self.weights:
-            if w < 1:
-                raise InvalidSpecError("weights must be positive integers")
+        if not _all_ints(self.weights) or min(self.weights) < 1:
+            raise InvalidSpecError("weights must be positive integers")
 
     @classmethod
     def cyclic(cls, n: int, gens: Sequence[int], weights: Sequence[int] | None = None) -> "CayleySpec":
@@ -339,10 +340,10 @@ class CayleySpec:
             weights = [1] * len(gens)
         if len(weights) != len(gens):
             raise InvalidSpecError("one weight per generator required")
-        reduced = [int(g) % n for g in gens]
+        reduced = [g % n for g in gens]
         if len(set(reduced)) != len(reduced):
             raise InvalidSpecError("generators coincide after reduction mod n")
-        pairs = sorted(zip(reduced, (int(w) for w in weights)))
+        pairs = sorted(zip(reduced, weights))
         return cls(
             group,
             tuple(p[0] for p in pairs),
@@ -386,8 +387,6 @@ def build_cayley(spec: CayleySpec) -> DirectedMultigraph:
     group = spec.group
     order = group.order
     weights = spec.weights
-    if not _all_ints(weights):
-        raise InvalidSpecError("edge multiplicities must be integers")
     vertices = range(order)
     columns = [list(map(group.product, vertices, repeat(s, order))) for s in spec.gens]
     for targets in columns:

@@ -15,8 +15,8 @@ matrix of h: K0 = Coker P, [1] maps to g = sum_{i<n} T^i e_L, and det(I -
 A^t) is +-det P.  No n x n graph or matrix is built on that path.  T is
 multiplication by x on Z[x]/(h), so P and g come from x^n mod (x - 1) h,
 one ``circulant.x_pow_mod`` call: O(L^2 log n) products, with no matrix
-power.  ``circulant.weight_arc`` chooses the arc for this side and for
-``circulant.cayley_det`` alike.
+power.  ``circulant.oriented_arc`` chooses and orients the arc, with its
+sign, for this side and for ``circulant.cayley_det`` alike.
 
 A generating {r^a, r^k s} of D_m with unit weights and m >= 3 goes the same
 way: Z[D_m] is free of rank 2 over Z[x]/(x^m - 1), and the image of
@@ -87,23 +87,18 @@ def _shortest_window(spec: CayleySpec) -> tuple[circ.IntPolynomial, int]:
     """(h, sign): the monic h of degree L that the companion side reduces for
     a cyclic spec with 0 not in S, and det(I - A^t) = sign det(T_h^n - I).
 
-    g comes from the shortest arc of Z_n with a unit end
-    (``circulant.weight_arc``), which starts at a and has length L.  h is c g,
-    or c x^L g(1/x) when g[0] is a unit (the arc is reversed), c = +-1 the
-    coefficient of the end that becomes the leading one.  Ties go to the wrap
-    gap (s_k, 0), so the arc [0, s_k], reversed, gives ``_char_poly``
-    whenever no arc is shorter.  prod f(zeta) over the n-th roots of unity
-    is prod zeta^a g(zeta) and det(T_h^n - I) = (-1)^{nL} prod h(zeta), which
-    gives the sign (-1)^{(n+1)a + nL [+ (n+1)L if reversed]} c^n.
+    ``circulant.oriented_arc`` reads f along the shortest arc of Z_n with a
+    unit end, of length L, oriented so that the unit end c = +-1 leads, and
+    gives the sign s of prod f(zeta) against it; h is c times that
+    polynomial.  Ties go to the wrap gap (s_k, 0), so the arc [0, s_k],
+    reversed, gives ``_char_poly`` whenever no arc is shorter.  With
+    det(T_h^n - I) = (-1)^{nL} prod h(zeta), sign = s (-1)^{nL} c^n.
     """
     n = spec.n
-    start, g = circ.weight_arc(spec, unit_end=True)
-    length = len(g) - 1
-    flip = abs(g[0]) == 1
-    c = g[0] if flip else g[-1]
-    h = circ.IntPolynomial(tuple(c * a for a in (g[::-1] if flip else g)))
-    exponent = (n + 1) * start + n * length + (n + 1) * length * flip
-    return h, (-1 if exponent % 2 else 1) * (c if n % 2 else 1)
+    sign, g = circ.oriented_arc(spec, unit_end=True)
+    c = g[-1]
+    h = circ.IntPolynomial(tuple(c * a for a in g))
+    return h, sign * (-1 if n * (len(g) - 1) % 2 else 1) * (c if n % 2 else 1)
 
 
 def _stated_diagonal(group: FinAbGroup, size: int) -> tuple[int, ...]:

@@ -18,12 +18,14 @@ from k0lab.circulant import (
     is_cayley_singular,
     nonsingular_det_sign,
     nullity_from_cyclotomics,
+    oriented_arc,
     representer,
     resultant,
     singular_cyclotomic_divisors,
     two_generator_singularity,
     weight_arc,
     x_pow_minus_one,
+    x_pow_mod,
 )
 from k0lab.graphs import CayleySpec
 from k0lab.zmatrix import det, rank
@@ -175,11 +177,18 @@ class TestCayleyDet:
             for gens in itertools.combinations(range(n), size)
             for weights in itertools.product(range(1, 4 if size < 3 else 3), repeat=size)
         )
+        # oriented_arc's (sign, h) must give the same product, for both kinds
+        # of arc (a unit end exists when 0 is not in S), ties ({1, n - 1} at
+        # weights (1, 1) and (2, 2)) included.
         count = 0
         for spec in itertools.chain(small, arc_families()):
-            assert cayley_det(spec) == circulant_det(cayley_circulant(spec)), (
-                spec.n, spec.gens, spec.weights
-            )
+            want = circulant_det(cayley_circulant(spec))
+            assert cayley_det(spec) == want, (spec.n, spec.gens, spec.weights)
+            for unit_end in (False, True) if 0 not in spec.gens else (False,):
+                sign, h = oriented_arc(spec, unit_end)
+                product = resultant(x_pow_minus_one(spec.n), IntPolynomial.of(h))
+                assert sign * product == want, (spec.n, spec.gens, spec.weights, unit_end)
+                assert not h or abs(h[-1]) <= abs(h[0]) and (abs(h[-1]) == 1 or not unit_end)
             count += 1
         assert count == 8528 + 6 * 38
 
@@ -223,6 +232,22 @@ class TestCayleyDet:
     def test_refuses_non_cyclic(self):
         with pytest.raises(ValueError):
             cayley_det(CayleySpec.dihedral(4))
+
+
+class TestXPowMod:
+    def test_contract_on_non_monic_f(self, rng):
+        # (q, e) = x_pow_mod(f, n): f divides b^e x^n - q over Z and deg q <
+        # deg f, for leading coefficients b that scale (2, -3) or only flip the
+        # sign (-1) at each step, and for a monic f, where e = 0.
+        for lead in (2, -1, -3, 1):
+            for _ in range(25):
+                d = rng.randint(1, 5)
+                f = [rng.randint(-4, 4) for _ in range(d)] + [lead]
+                n = rng.randint(1, 200)
+                q, e = x_pow_mod(f, n)
+                assert len(q) == d and (e == 0 or lead != 1)
+                rest = IntPolynomial.of([0] * n + [lead**e]) - IntPolynomial.of(q)
+                assert IntPolynomial.of(f).divides(rest), (f, n)
 
 
 class TestResultant:

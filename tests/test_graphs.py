@@ -185,6 +185,28 @@ class TestBuildCayley:
         with pytest.raises(InvalidSpecError):
             CayleySpec.cyclic(6, [1, 2], [1])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CayleySpec.cyclic(6, [2.7, 3], [1.9, 1]),  # not truncated to C_6({2, 3})
+            lambda: CayleySpec.cyclic(6, [8.0, 3]),
+            lambda: CayleySpec(CyclicGroup(30), (2, 3), (1.5, 1)),
+            lambda: CayleySpec.cyclic(6.0, [2, 3]),
+            lambda: CayleySpec.dihedral(7.0),
+            lambda: CayleySpec(FiniteGroupTable(2.0, ((0, 1), (1, 0))), (1,), (1,)),
+        ],
+        ids=["float-gens-and-weights", "float-gen", "float-weight", "float-n",
+             "float-dihedral-n", "float-table-order"],
+    )
+    def test_non_int_input_refused(self, make):
+        with pytest.raises(InvalidSpecError):
+            make()
+
+    def test_bool_input_counts_as_int(self):
+        spec = CayleySpec.cyclic(6, [True, 3], [True, 2])
+        assert spec == CayleySpec.cyclic(6, [1, 3], [1, 2])
+        assert analyze(spec).det_value == analyze(CayleySpec.cyclic(6, [1, 3], [1, 2])).det_value
+
     def test_table_entry_outside_the_group(self):
         # an unvalidated table may name a non-element; no edge may point there
         for bad in (-1, 2):

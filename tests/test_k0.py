@@ -271,23 +271,26 @@ class TestAnalyze:
             (CayleySpec.cyclic(12, [0, 5], [2, 1]), "full"),
         ]
         expected = [circ.circulant_det(circ.cayley_circulant(spec)) for spec, _ in specs]
-        resultant = circ.resultant
+        resultant = circ._resultant
+        degrees = []
 
         def forbidden(*args):
             raise AssertionError("a degree-n polynomial on the full path")
 
         def small_resultant(f, g):
             # spec is the spec the loop below is analysing
-            assert max(f.degree(), g.degree()) <= max(spec.gens)
+            degrees.append(max(len(f), len(g)) - 1)
+            assert degrees[-1] <= max(spec.gens)
             return resultant(f, g)
 
         monkeypatch.setattr(circ, "circulant_det", forbidden)
         monkeypatch.setattr(circ, "x_pow_minus_one", forbidden)
-        monkeypatch.setattr(circ, "resultant", small_resultant)
+        monkeypatch.setattr(circ, "_resultant", small_resultant)
         for (spec, method), want in zip(specs, expected):
             report = analyze(spec, method=method)
             assert report.method == "full_snf"
             assert report.det_value == want, (spec.n, spec.gens, spec.weights)
+        assert degrees  # the bound was checked
 
     def test_non_generating(self):
         with pytest.raises(NotGeneratingError):
