@@ -365,18 +365,14 @@ def cayley_det(spec) -> int:
     """det(I - A^t) for a weighted Cayley graph over Z_n, from x^n mod h.
 
     The value is prod f(zeta) over the n-th roots of unity zeta, with
-    f = 1 - sum_s w(s) x^s.  ``oriented_arc`` gives it as sign * prod
-    h(zeta), h read along the shortest arc of Z_n that holds every nonzero
-    coefficient of f, so deg h <= s_k and is 2 for S = {1, n - 1}, with the
-    end of smaller magnitude leading.  The value equals ``circulant_det`` of
-    ``cayley_circulant(spec)``, but no polynomial of degree above deg h is
-    built.  A constant factor c of h contributes c^n.  For the rest, of
-    degree d >= 1 and leading coefficient b, the product is
-    Res(x^n - 1, h) = (-1)^(nd) Res(h, x^n - 1) =
-    (-1)^(nd) b^(n - deg r) Res(h, r), with r = (x^n - 1) mod h over Q
-    carried as q / b^e, q over Z, from ``x_pow_mod``.  b need not be a
-    unit: the reduction scales by b at each step, as a pseudo-remainder
-    does.
+    f = 1 - sum_s w(s) x^s, which ``oriented_arc`` gives as sign * prod
+    h(zeta), deg h <= s_k (2 for S = {1, n - 1}).  It equals
+    ``circulant_det`` of ``cayley_circulant(spec)``, but no polynomial of
+    degree above deg h is built.  A constant factor c of h contributes c^n.
+    For the rest, of degree d >= 1 and leading coefficient b, the product
+    is Res(x^n - 1, h) = (-1)^(nd) b^(n - deg r) Res(h, r), with
+    r = (x^n - 1) mod h over Q carried as q / b^e, q over Z, from
+    ``x_pow_mod``; b need not be a unit.
     """
     n = spec.n
     sign, h = oriented_arc(spec)

@@ -340,6 +340,8 @@ class CayleySpec:
             weights = [1] * len(gens)
         if len(weights) != len(gens):
             raise InvalidSpecError("one weight per generator required")
+        if not _all_ints(gens):
+            raise InvalidSpecError("generators must be integers")
         reduced = [g % n for g in gens]
         if len(set(reduced)) != len(reduced):
             raise InvalidSpecError("generators coincide after reduction mod n")

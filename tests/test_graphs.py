@@ -190,12 +190,13 @@ class TestBuildCayley:
         [
             lambda: CayleySpec.cyclic(6, [2.7, 3], [1.9, 1]),  # not truncated to C_6({2, 3})
             lambda: CayleySpec.cyclic(6, [8.0, 3]),
+            lambda: CayleySpec.cyclic(6, ["2", 3]),
             lambda: CayleySpec(CyclicGroup(30), (2, 3), (1.5, 1)),
             lambda: CayleySpec.cyclic(6.0, [2, 3]),
             lambda: CayleySpec.dihedral(7.0),
             lambda: CayleySpec(FiniteGroupTable(2.0, ((0, 1), (1, 0))), (1,), (1,)),
         ],
-        ids=["float-gens-and-weights", "float-gen", "float-weight", "float-n",
+        ids=["float-gens-and-weights", "float-gen", "str-gen", "float-weight", "float-n",
              "float-dihedral-n", "float-table-order"],
     )
     def test_non_int_input_refused(self, make):
