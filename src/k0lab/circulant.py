@@ -303,11 +303,11 @@ def _resultant(a: list[int], b: list[int]) -> int:
             a.pop()
         if not a:
             return 0
-        r = [c * lift for c in a]
         divisor = g_coef * h_coef**delta
-        if any(c % divisor for c in r):
+        r = [divmod(c * lift, divisor) for c in a]
+        if any(rest for _, rest in r):
             raise InternalCheckError("subresultant step did not divide exactly")
-        a, b = b, [c // divisor for c in r]
+        a, b = b, [quotient for quotient, _ in r]
         g_coef = a[-1]
         if delta > 0:
             h_coef = g_coef**delta // h_coef ** (delta - 1)
