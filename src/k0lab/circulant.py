@@ -273,7 +273,7 @@ def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
 
 
 def _resultant(a: list[int], b: list[int]) -> int:
-    """``resultant`` on coefficient lists without trailing zeros, left as they are.
+    """``resultant`` on coefficient lists with no trailing zeros; neither is changed.
 
     Collins' subresultant sequence (J. ACM 14, 1967): each step replaces
     (a, b) by (b, r), r = lc(b)^(delta + 1) a mod b over g h^delta exactly.
