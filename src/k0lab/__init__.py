@@ -1,9 +1,9 @@
 """k0lab: Grothendieck groups of Leavitt path algebras of weighted Cayley graphs.
 
-Exact integer Smith normal forms, circulant determinants via resultants
-(for a cyclic Cayley spec from x^n mod f, with no degree-n polynomial),
-the companion-matrix cokernel reduction, and restricted
-Kirchberg-Phillips classification.
+Exact integer Smith normal forms, cyclic Cayley determinants via
+resultants (from x^n mod f, with no degree-n polynomial), the
+companion-matrix cokernel reduction, and restricted Kirchberg-Phillips
+classification.
 """
 
 from .classify import (
@@ -32,18 +32,15 @@ from .graphs import (
     is_strongly_connected,
 )
 from .k0 import (
-    CompanionMatrix,
     K0Report,
     analyze,
     closed_form_S01,
-    companion_matrix,
     f_sequence,
     verify_Tn_structure,
 )
 from .circulant import (
     Circulant,
     IntPolynomial,
-    circulant_det,
     cyclotomic,
     det_sign_closed_form,
     representer,
@@ -59,8 +56,6 @@ from .zmatrix import (
     cokernel,
     cokernel_with_class,
     det,
-    mat_pow,
-    rank,
 )
 
 __version__ = "0.1.0"

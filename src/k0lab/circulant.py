@@ -1,11 +1,10 @@
 """Circulant matrices and integer polynomial machinery.
 
 A circulant is determined by its first row; its determinant is the product
-of the representer polynomial over all n-th roots of unity, which
-``circulant_det`` computes exactly as a resultant against x^n - 1.  For
-the circulant I - A^t of a weighted Cayley graph over Z_n, ``cayley_det``
-takes the same product from f = 1 - sum w(s) x^s read along the shortest
-arc of Z_n that holds its nonzero coefficients, a polynomial h of degree
+of the representer polynomial over all n-th roots of unity.  For the
+circulant I - A^t of a weighted Cayley graph over Z_n, ``cayley_det``
+takes that product from f = 1 - sum w(s) x^s read along the shortest arc
+of Z_n that holds its nonzero coefficients, a polynomial h of degree
 L <= s_k: it reduces x^n mod h by square-and-multiply, O(L^2 log n)
 products, and runs the resultant on polynomials of degree at most L.  One
 pseudo-remainder loop on int lists (``_reduce``) serves both steps.
@@ -20,8 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .errors import InternalCheckError, NotGeneratingError
-from .zmatrix import IntMatrix
+from .errors import InternalCheckError, NotGeneratingError, all_ints
 
 
 @dataclass(frozen=True)
@@ -36,10 +34,12 @@ class IntPolynomial:
 
     @classmethod
     def of(cls, coeffs: Sequence[int]) -> "IntPolynomial":
-        c = list(int(x) for x in coeffs)
+        c = list(coeffs)
+        if not all_ints(c):
+            raise ValueError("polynomial coefficients must be integers")
         while c and c[-1] == 0:
             c.pop()
-        return cls(tuple(c))
+        return cls(tuple(map(int, c)))  # a bool becomes 0 or 1
 
     @property
     def is_zero(self) -> bool:
@@ -48,30 +48,6 @@ class IntPolynomial:
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return _trimmed(a)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] -= c
-        return _trimmed(a)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return _trimmed(out)
 
     def divmod_by(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Division in Z[x]; every elimination step must divide exactly.
@@ -122,12 +98,6 @@ class IntPolynomial:
         except ValueError:
             return False
 
-    def __call__(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -175,16 +145,14 @@ class Circulant:
 
     @classmethod
     def of(cls, row: Sequence[int]) -> "Circulant":
-        return cls(tuple(int(x) for x in row))
+        row = list(row)
+        if not all_ints(row):
+            raise ValueError("circulant entries must be integers")
+        return cls(tuple(map(int, row)))  # a bool becomes 0 or 1
 
     @property
     def n(self) -> int:
         return len(self.first_row)
-
-    def to_matrix(self) -> IntMatrix:
-        n = self.n
-        c = self.first_row
-        return IntMatrix(n, n, tuple(c[(j - i) % n] for i in range(n) for j in range(n)))
 
 
 def representer(c: Circulant) -> IntPolynomial:
@@ -340,15 +308,6 @@ def _reduce(c: list[int], f: list[int]) -> int:
     return e
 
 
-def circulant_det(c: Circulant) -> int:
-    """Exact circulant determinant: the representer evaluated over all n-th
-    roots of unity, as Res(x^n - 1, P)."""
-    p = representer(c)
-    if p.is_zero:
-        return 0
-    return resultant(x_pow_minus_one(c.n), p)
-
-
 def cayley_circulant(spec) -> Circulant:
     """First row of I - A^t for a weighted Cayley graph over Z_n."""
     if not spec.is_cyclic:
@@ -367,12 +326,12 @@ def cayley_det(spec) -> int:
     The value is prod f(zeta) over the n-th roots of unity zeta, with
     f = 1 - sum_s w(s) x^s, which ``oriented_arc`` gives as sign * prod
     h(zeta), deg h <= s_k (2 for S = {1, n - 1}).  It equals
-    ``circulant_det`` of ``cayley_circulant(spec)``, but no polynomial of
-    degree above deg h is built.  A constant factor c of h contributes c^n.
-    For the rest, of degree d >= 1 and leading coefficient b, the product
-    is Res(x^n - 1, h) = (-1)^(nd) b^(n - deg r) Res(h, r), with
-    r = (x^n - 1) mod h over Q carried as q / b^e, q over Z, from
-    ``x_pow_mod``; b need not be a unit.
+    Res(x^n - 1, p) for the representer p of ``cayley_circulant(spec)``,
+    but no polynomial of degree above deg h is built.  A constant factor c
+    of h contributes c^n.  For the rest, of degree d >= 1 and leading
+    coefficient b, the product is Res(x^n - 1, h) = (-1)^(nd) b^(n - deg r)
+    Res(h, r), with r = (x^n - 1) mod h over Q carried as q / b^e, q over
+    Z, from ``x_pow_mod``; b need not be a unit.
     """
     n = spec.n
     sign, h = oriented_arc(spec)

@@ -1,4 +1,17 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its one rule for integer input."""
+
+
+def all_ints(values) -> bool:
+    """Whether every value is an int or a bool, in one pass at C speed.
+
+    A float, Fraction or Decimal among ints makes their sum one of those,
+    and a non-number makes it raise.  Constructors that take integers from
+    a caller refuse input that fails this rather than truncate it.
+    """
+    try:
+        return type(sum(values)) is int
+    except TypeError:
+        return False
 
 
 class InvalidSpecError(ValueError):

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import GroupTableError, InvalidSpecError
+from .errors import GroupTableError, InvalidSpecError, all_ints
 from .zmatrix import SparseIntMatrix, int_text
 
 
@@ -42,7 +42,7 @@ class DirectedMultigraph:
         for row in adjacency:
             if len(row) != n:
                 raise InvalidSpecError("adjacency matrix must be square")
-            if not _all_ints(row):
+            if not all_ints(row):
                 raise InvalidSpecError("edge multiplicities must be integers")
             edges = {w: row[w] for w in compress(targets, row)}
             if edges and min(edges.values()) < 0:
@@ -59,9 +59,9 @@ class DirectedMultigraph:
         out = []
         for row in out_rows:
             if row:
-                if not _all_ints(row) or min(row) < 0 or max(row) >= n:
+                if not all_ints(row) or min(row) < 0 or max(row) >= n:
                     raise InvalidSpecError("edge target outside the graph")
-                if not _all_ints(row.values()):
+                if not all_ints(row.values()):
                     raise InvalidSpecError("edge multiplicities must be integers")
                 if min(row.values()) < 0:
                     raise InvalidSpecError("edge multiplicities must be non-negative")
@@ -140,18 +140,6 @@ class DirectedMultigraph:
         return "\n".join(lines) + "\n"
 
 
-def _all_ints(values: Iterable) -> bool:
-    """Whether every value is an int or a bool, in one pass at C speed.
-
-    A sum of ints is an int; a float, Fraction or Decimal among them makes
-    the sum one of those, and a non-number makes it raise.
-    """
-    try:
-        return type(sum(values)) is int
-    except TypeError:
-        return False
-
-
 def _without_zero_diagonal(rows: list[dict[int, int]]) -> SparseIntMatrix:
     """The square sparse matrix of rows, once a diagonal that came out 0 is dropped."""
     for v, row in enumerate(rows):
@@ -171,7 +159,7 @@ class FiniteGroupTable:
     identity = 0
 
     def __post_init__(self):
-        if not _all_ints((self.order,)) or self.order < 1:
+        if not all_ints((self.order,)) or self.order < 1:
             raise InvalidSpecError("group order must be a positive integer")
         if len(self.mul) != self.order or any(len(r) != self.order for r in self.mul):
             raise InvalidSpecError("multiplication table must be order x order")
@@ -214,7 +202,7 @@ class CyclicGroup:
     identity = 0
 
     def __post_init__(self):
-        if not _all_ints((self.n,)) or self.n < 1:
+        if not all_ints((self.n,)) or self.n < 1:
             raise InvalidSpecError("cyclic group order must be a positive integer")
 
     @property
@@ -242,7 +230,7 @@ class DihedralGroup:
     identity = 0
 
     def __post_init__(self):
-        if not _all_ints((self.n,)) or self.n < 1:
+        if not all_ints((self.n,)) or self.n < 1:
             raise InvalidSpecError("dihedral parameter must be a positive integer")
 
     @property
@@ -324,12 +312,12 @@ class CayleySpec:
             raise InvalidSpecError("one weight per generator required")
         if len(set(self.gens)) != len(self.gens):
             raise InvalidSpecError("generators must be distinct")
-        if not _all_ints(self.gens):
+        if not all_ints(self.gens):
             raise InvalidSpecError("generators must be integers")
         for g in self.gens:
             if not 0 <= g < self.group.order:
                 raise InvalidSpecError(f"generator {g} outside the group")
-        if not _all_ints(self.weights) or min(self.weights) < 1:
+        if not all_ints(self.weights) or min(self.weights) < 1:
             raise InvalidSpecError("weights must be positive integers")
 
     @classmethod
@@ -340,7 +328,7 @@ class CayleySpec:
             weights = [1] * len(gens)
         if len(weights) != len(gens):
             raise InvalidSpecError("one weight per generator required")
-        if not _all_ints(gens):
+        if not all_ints(gens):
             raise InvalidSpecError("generators must be integers")
         reduced = [g % n for g in gens]
         if len(set(reduced)) != len(reduced):
@@ -392,7 +380,7 @@ def build_cayley(spec: CayleySpec) -> DirectedMultigraph:
     vertices = range(order)
     columns = [list(map(group.product, vertices, repeat(s, order))) for s in spec.gens]
     for targets in columns:
-        if not _all_ints(targets) or min(targets) < 0 or max(targets) >= order:
+        if not all_ints(targets) or min(targets) < 0 or max(targets) >= order:
             raise InvalidSpecError("edge target outside the graph")
     out = []
     for targets in zip(*columns):

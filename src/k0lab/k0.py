@@ -51,28 +51,6 @@ from .zmatrix import FinAbGroup, IntMatrix, cokernel, cokernel_with_class, det, 
 CROSSCHECK_LIMIT = 24  # auto runs both reductions up to this n, the companion one past it
 
 
-@dataclass(frozen=True)
-class CompanionMatrix:
-    """Companion matrix of t^{s_k} - sum w(s_j) t^{s_k - s_j}.
-
-    Sub-diagonal of ones; the last column holds w(s_j) in row
-    s_k - s_j + 1 (1-indexed).
-    """
-
-    size: int
-    matrix: IntMatrix
-    char_poly: circ.IntPolynomial
-
-
-def companion_matrix(spec: CayleySpec) -> CompanionMatrix:
-    """Companion matrix of the weight recursion for a cyclic spec with 0 not in S."""
-    _require_companion(spec)
-    h = _char_poly(spec.gens, spec.weights)
-    sk = h.degree()
-    rows = [[int(j == i - 1) for j in range(sk - 1)] + [-h.coeffs[i]] for i in range(sk)]
-    return CompanionMatrix(sk, IntMatrix.from_rows(rows), h)
-
-
 def _char_poly(gens: tuple[int, ...], weights: tuple[int, ...]) -> circ.IntPolynomial:
     """h = x^{s_k} - sum_j w_j x^{s_k - s_j}, the characteristic polynomial of T."""
     sk = max(gens)
@@ -487,27 +465,20 @@ def f_sequence(j: int, k: int, upto: int) -> list[int]:
         raise InvalidSpecError("need 1 <= j < k")
     if upto < 0:
         raise InvalidSpecError("length must be non-negative")
-    cache: dict[int, int] = {}
-    return [_f_extended(j, k, m, cache) for m in range(1, upto + 1)]
+    return _gap_values(j, k, 1, upto)
 
 
-def _f_extended(j: int, k: int, m: int, cache: dict[int, int]) -> int:
-    """F_(j,k) extended to all integers via the recursion run backwards."""
-    if m in cache:
-        return cache[m]
-    if m >= 1:
-        if m <= k - 2:
-            val = 0
-        elif m == k - 1:
-            val = 1
-        elif m == k:
-            val = 0
-        else:
-            val = _f_extended(j, k, m - j, cache) + _f_extended(j, k, m - k, cache)
-    else:
-        val = _f_extended(j, k, m + k, cache) - _f_extended(j, k, m + k - j, cache)
-    cache[m] = val
-    return val
+def _gap_values(j: int, k: int, low: int, high: int) -> list[int]:
+    """F_(j,k)(m) for low <= m <= high, filled by loops forward from the base
+    segment and, for m <= 0, backward by F(m) = F(m + k) - F(m + k - j)."""
+    first, last = min(low, 1), max(high, k)
+    f = [0] * (last - first + 1)  # F(m) is f[m - first]
+    f[k - 1 - first] = 1
+    for i in range(k + 1 - first, len(f)):  # m = k + 1, ..., last
+        f[i] = f[i - j] + f[i - k]
+    for i in range(-first, -1, -1):  # m = 0, -1, ..., first
+        f[i] = f[i + k] - f[i + k - j]
+    return f[low - first : high + 1 - first]
 
 
 def verify_Tn_structure(d1: int, d2: int, n: int) -> bool:
@@ -524,12 +495,11 @@ def verify_Tn_structure(d1: int, d2: int, n: int) -> bool:
     if n < 1:
         raise InvalidSpecError("n must be positive")
     p = _companion_presentation(_char_poly((d1, d2), (1, 1)), n)[0]
-    cache: dict[int, int] = {}
     k = d2 - d1
+    g = _gap_values(d1, d2, n - d2, n + 2 * d2)  # every index a row reads, and more
     for i in range(1, d2 + 1):
         lead = n - i if i <= k else n - i + d2
         for col in range(d2):
-            expected = _f_extended(d1, d2, lead + col, cache)
-            if p.at(i - 1, col) + (i - 1 == col) != expected:
+            if p.at(i - 1, col) + (i - 1 == col) != g[lead + col - n + d2]:
                 return False
     return True

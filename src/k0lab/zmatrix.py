@@ -7,11 +7,11 @@ diagonals (sparse ±1 pivots in Markowitz order, a column-local Euclid with
 nearest-integer quotients that diagonalizes the dense remainder, then a
 gcd/lcm pass that chains the diagonal), determinants (sparse ±1 pivots in
 Markowitz order, then fraction-free Bareiss elimination on the dense
-remainder), rank, matrix powers, and cokernels presented as finitely
-generated abelian groups in invariant-factor form.  The two sparse phases
-share only ``_pivot_rows``, which copies the input rows and decides
-whether any pivot could pay; each eliminates on its own copy with its own
-code, so det stays an independent witness of the Smith form.
+remainder), and cokernels presented as finitely generated abelian groups
+in invariant-factor form.  The two sparse phases share only
+``_pivot_rows``, which copies the input rows and decides whether any pivot
+could pay; each eliminates on its own copy with its own code, so det stays
+an independent witness of the Smith form.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from decimal import Decimal
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
-from operator import mul as _int_mul
 from typing import Iterable, Sequence
+
+from .errors import all_ints
 
 
 class MatrixFormatError(ValueError):
@@ -59,15 +60,10 @@ class IntMatrix:
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-        return cls(r, c, tuple(int(x) for row in rows for x in row))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        entries = list(chain.from_iterable(rows))
+        if not all_ints(entries):
+            raise ValueError("matrix entries must be integers")
+        return cls(r, c, tuple(map(int, entries)))  # a bool becomes 0 or 1
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -81,34 +77,6 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_shape(other)
-        return IntMatrix(
-            self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("incompatible shapes for multiplication")
-        cols = [other.entries[j :: other.cols] for j in range(other.cols)]
-        out = []
-        for i in range(self.rows):
-            arow = self.entries[i * self.cols : (i + 1) * self.cols]
-            for bcol in cols:
-                out.append(sum(map(_int_mul, arow, bcol)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def _check_same_shape(self, other: "IntMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
 
 @dataclass(frozen=True)
@@ -175,10 +143,13 @@ class FinAbGroup:
     @classmethod
     def from_invariants(cls, factors: Iterable[int], free_rank: int = 0) -> "FinAbGroup":
         """Build from a list of cyclic orders: 0 means an infinite factor, 1 is dropped."""
+        factors = list(factors)
+        if not all_ints(factors):
+            raise ValueError("cyclic orders must be integers")
         torsion = []
         rank = free_rank
         for f in factors:
-            f = abs(int(f))
+            f = abs(f)
             if f == 0:
                 rank += 1
             elif f > 1:
@@ -468,11 +439,6 @@ def _invariant_factors(diag: Sequence[int]) -> tuple[int, ...]:
     return (1,) * units + tuple(rest) + (0,) * (len(diag) - units - len(rest))
 
 
-def snf_diagonal(m: Matrix) -> tuple[int, ...]:
-    """Invariant factors of m: the diagonal of its Smith normal form."""
-    return cokernel_with_class(m)[0]
-
-
 def cokernel_with_class(
     m: Matrix, vec: Sequence[int] | None = None
 ) -> tuple[tuple[int, ...], FinAbGroup, int | None]:
@@ -654,28 +620,6 @@ def _bareiss(a: list[list[int]]) -> int:
             ai[k] = 0
         prev = akk
     return sign * a[n - 1][n - 1]
-
-
-def rank(m: Matrix) -> int:
-    """Rank over the rationals: the number of nonzero invariant factors."""
-    return sum(1 for s in snf_diagonal(m) if s != 0)
-
-
-def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
-    """m**k by binary exponentiation, exact."""
-    if not m.is_square:
-        raise ValueError("matrix power requires a square matrix")
-    if k < 0:
-        raise ValueError("exponent must be non-negative")
-    result = IntMatrix.identity(m.rows)
-    base = m
-    while k:
-        if k & 1:
-            result = result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return result
 
 
 _PLAIN_INT = re.compile(r"[+-]?[0-9]+")

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import k0lab
-from k0lab.zmatrix import IntMatrix
+from k0lab.zmatrix import IntMatrix, Matrix, cokernel_with_class
 
 
 def src_on_path() -> dict[str, str]:
@@ -12,6 +12,11 @@ def src_on_path() -> dict[str, str]:
     src = os.path.dirname(os.path.dirname(os.path.abspath(k0lab.__file__)))
     inherited = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, inherited] if inherited else [src])}
+
+
+def rank(m: Matrix) -> int:
+    """Rank over the rationals: the number of nonzero invariant factors of m."""
+    return sum(1 for s in cokernel_with_class(m)[0] if s != 0)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 4) -> IntMatrix:

@@ -4,7 +4,13 @@ These share no algorithms with the engine they validate: invariant
 factors come from determinant-divisor gcds over all minors, determinants
 from cofactor expansion, lattice membership from a self-contained
 Hermite reduction, and pure infinite simplicity from one
-hereditary-saturated closure per vertex.  In-splitting generates
+hereditary-saturated closure per vertex.  The paper's own objects are
+built as it states them: the companion matrix T of the weight recursion,
+its powers by schoolbook matrix products, and a circulant from its first
+row.  The one exception is ``circulant_det``, the product of the
+representer over the n-th roots of unity as one resultant against
+x^n - 1: it reuses the engine's ``resultant``, so differential tests pair
+it with a determinant of ``circulant_matrix`` as well.  In-splitting generates
 flow-equivalent graphs (Abrams, Louly, Pardo & Smith, *Flow invariants in
 the classification of Leavitt path algebras*, J. Algebra 333, 2011), so the
 flow invariants can be checked on pairs known to be equivalent.
@@ -14,16 +20,111 @@ inputs small.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import mul
 from typing import Mapping, Sequence
 
+from k0lab.circulant import Circulant, IntPolynomial, representer, resultant, x_pow_minus_one
 from k0lab.errors import InvalidSpecError
-from k0lab.graphs import DirectedMultigraph
+from k0lab.graphs import CayleySpec, DirectedMultigraph
+from k0lab.k0 import _char_poly, _require_companion
 from k0lab.zmatrix import IntMatrix, Matrix
 
 Edge = tuple[int, int, int]
 Partition = Mapping[int, Sequence[Sequence[Edge]]]
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+
+
+def zero_matrix(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, (0,) * (rows * cols))
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.cols, m.rows, tuple(m.at(i, j) for j in range(m.cols) for i in range(m.rows)))
+
+
+def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    return IntMatrix(a.rows, a.cols, tuple(x - y for x, y in zip(a.entries, b.entries)))
+
+
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise ValueError("incompatible shapes for multiplication")
+    cols = [b.entries[j :: b.cols] for j in range(b.cols)]
+    return IntMatrix(a.rows, b.cols, tuple(sum(map(mul, a.row(i), col))
+                                           for i in range(a.rows) for col in cols))
+
+
+def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
+    """m**k by binary exponentiation, exact."""
+    if not m.is_square:
+        raise ValueError("matrix power requires a square matrix")
+    if k < 0:
+        raise ValueError("exponent must be non-negative")
+    result = identity_matrix(m.rows)
+    base = m
+    while k:
+        if k & 1:
+            result = mat_mul(result, base)
+        k >>= 1
+        if k:
+            base = mat_mul(base, base)
+    return result
+
+
+def poly_mul(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """Schoolbook product in Z[x]."""
+    if f.is_zero or g.is_zero:
+        return IntPolynomial()
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return IntPolynomial.of(out)
+
+
+@dataclass(frozen=True)
+class CompanionMatrix:
+    """Companion matrix of t^{s_k} - sum w(s_j) t^{s_k - s_j}.
+
+    Sub-diagonal of ones; the last column holds w(s_j) in row
+    s_k - s_j + 1 (1-indexed).
+    """
+
+    size: int
+    matrix: IntMatrix
+    char_poly: IntPolynomial
+
+
+def companion_matrix(spec: CayleySpec) -> CompanionMatrix:
+    """The paper's T for a cyclic spec with 0 not in S; refuses what the
+    engine's companion reduction refuses."""
+    _require_companion(spec)
+    h = _char_poly(spec.gens, spec.weights)
+    sk = h.degree()
+    rows = [[int(j == i - 1) for j in range(sk - 1)] + [-h.coeffs[i]] for i in range(sk)]
+    return CompanionMatrix(sk, IntMatrix.from_rows(rows), h)
+
+
+def circulant_matrix(c: Circulant) -> IntMatrix:
+    """The n x n circulant whose row k is the first row shifted right k times."""
+    n, row = c.n, c.first_row
+    return IntMatrix(n, n, tuple(row[(j - i) % n] for i in range(n) for j in range(n)))
+
+
+def circulant_det(c: Circulant) -> int:
+    """The representer evaluated over all n-th roots of unity, as Res(x^n - 1, p)."""
+    p = representer(c)
+    if p.is_zero:
+        return 0
+    return resultant(x_pow_minus_one(c.n), p)
 
 
 def det_via_cofactor(m: Matrix) -> int:

@@ -10,7 +10,6 @@ from k0lab.circulant import (
     IntPolynomial,
     cayley_circulant,
     cayley_det,
-    circulant_det,
     cyclotomic,
     det_sign_closed_form,
     divisors,
@@ -28,7 +27,10 @@ from k0lab.circulant import (
     x_pow_mod,
 )
 from k0lab.graphs import CayleySpec
-from k0lab.zmatrix import det, rank
+from k0lab.zmatrix import det
+
+from conftest import rank
+from oracle import circulant_det, circulant_matrix, poly_mul
 
 
 def poly(*coeffs):
@@ -55,13 +57,6 @@ class TestIntPolynomial:
         assert IntPolynomial.of([1, 2, 0, 0]).coeffs == (1, 2)
         assert IntPolynomial.of([0, 0]).is_zero
 
-    def test_arithmetic(self):
-        f = poly(1, 1)
-        g = poly(-1, 1)
-        assert f * g == poly(-1, 0, 1)
-        assert f + g == poly(0, 2)
-        assert f - f == IntPolynomial()
-
     def test_exact_division(self):
         f = poly(-1, 0, 0, 0, 0, 0, 1)  # x^6 - 1
         q, r = f.divmod_by(poly(-1, 1))
@@ -71,9 +66,6 @@ class TestIntPolynomial:
     def test_divides(self):
         assert poly(-1, 1).divides(x_pow_minus_one(5))
         assert not poly(1, 1, 1).divides(poly(1, 0, 1))
-
-    def test_evaluate(self):
-        assert poly(1, -2, 3)(2) == 1 - 4 + 12
 
 
 class TestRepresenter:
@@ -104,7 +96,7 @@ class TestCyclotomic:
         for n in range(1, 61):
             product = poly(1)
             for d in divisors(n):
-                product = product * cyclotomic(d)
+                product = poly_mul(product, cyclotomic(d))
             assert product == x_pow_minus_one(n), n
 
     def test_rejects_nonpositive(self):
@@ -133,7 +125,7 @@ class TestSingularDivisors:
             row = [rng.randint(-5, 5) for _ in range(n)]
             c = Circulant.of(row)
             p = representer(c)
-            assert nullity_from_cyclotomics(p, n) == n - rank(c.to_matrix())
+            assert nullity_from_cyclotomics(p, n) == n - rank(circulant_matrix(c))
 
 
 class TestCirculantDet:
@@ -153,7 +145,7 @@ class TestCirculantDet:
         for _ in range(120):
             n = rng.randint(1, 24)
             c = Circulant.of([rng.randint(-5, 5) for _ in range(n)])
-            assert circulant_det(c) == det(c.to_matrix())
+            assert circulant_det(c) == det(circulant_matrix(c))
 
     def test_transpose_symmetry(self, rng):
         for _ in range(40):
@@ -179,11 +171,15 @@ class TestCayleyDet:
         )
         # oriented_arc's (sign, h) must give the same product, for both kinds
         # of arc (a unit end exists when 0 is not in S), ties ({1, n - 1} at
-        # weights (1, 1) and (2, 2)) included.
+        # weights (1, 1) and (2, 2)) included.  circulant_det ends in the same
+        # resultant as cayley_det, so up to n = 12 the matrix det (sparse
+        # pivots, then Bareiss) is a second expected value.
         count = 0
         for spec in itertools.chain(small, arc_families()):
             want = circulant_det(cayley_circulant(spec))
             assert cayley_det(spec) == want, (spec.n, spec.gens, spec.weights)
+            if spec.n <= 12:
+                assert det(circulant_matrix(cayley_circulant(spec))) == want, spec
             for unit_end in (False, True) if 0 not in spec.gens else (False,):
                 sign, h = oriented_arc(spec, unit_end)
                 product = resultant(x_pow_minus_one(spec.n), IntPolynomial.of(h))
@@ -246,8 +242,11 @@ class TestXPowMod:
                 n = rng.randint(1, 200)
                 q, e = x_pow_mod(f, n)
                 assert len(q) == d and (e == 0 or lead != 1)
-                rest = IntPolynomial.of([0] * n + [lead**e]) - IntPolynomial.of(q)
-                assert IntPolynomial.of(f).divides(rest), (f, n)
+                rest = [0] * max(n + 1, d)  # b^e x^n - q
+                rest[n] = lead**e
+                for i, c in enumerate(q):
+                    rest[i] -= c
+                assert IntPolynomial.of(f).divides(IntPolynomial.of(rest)), (f, n)
 
 
 class TestResultant:
@@ -259,7 +258,7 @@ class TestResultant:
         assert resultant(IntPolynomial(), poly(1, 1)) == 0
 
     def test_common_root(self):
-        assert resultant(poly(-1, 1) * poly(1, 1), poly(-1, 1) * poly(2, 1)) == 0
+        assert resultant(poly_mul(poly(-1, 1), poly(1, 1)), poly_mul(poly(-1, 1), poly(2, 1))) == 0
 
     def test_linear_pair(self):
         # Res(x - a, x - b) = a - b... evaluated: (x-b) at root a
@@ -442,4 +441,4 @@ def test_euler_phi_sums_to_n(n):
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=10))
 def test_circulant_det_hypothesis(row):
     c = Circulant.of(row)
-    assert circulant_det(c) == det(c.to_matrix())
+    assert circulant_det(c) == det(circulant_matrix(c))

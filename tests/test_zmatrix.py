@@ -10,13 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import k0lab.zmatrix
-from k0lab.circulant import cayley_det, divisors
+from k0lab.circulant import Circulant, IntPolynomial, cayley_det, divisors
 from k0lab.graphs import (
     CayleySpec,
     DirectedMultigraph,
     build_cayley,
 )
-from k0lab.k0 import _companion_presentation, companion_matrix
+from k0lab.k0 import _companion_presentation
 from k0lab.zmatrix import (
     FinAbGroup,
     IntMatrix,
@@ -28,15 +28,23 @@ from k0lab.zmatrix import (
     cokernel_with_class,
     det,
     int_text,
-    mat_pow,
-    rank,
     read_matrix,
-    snf_diagonal,
     write_matrix,
 )
 
-from conftest import random_matrix, random_unimodular
-from oracle import det_via_cofactor, lattice_membership, snf_via_determinant_divisors
+from conftest import random_matrix, random_unimodular, rank
+from oracle import (
+    companion_matrix,
+    det_via_cofactor,
+    identity_matrix,
+    lattice_membership,
+    mat_mul,
+    mat_pow,
+    mat_sub,
+    snf_via_determinant_divisors,
+    transpose,
+    zero_matrix,
+)
 
 T6_MINUS_I = IntMatrix.from_rows([[0, 1, 2], [2, 1, 3], [1, 2, 1]])
 
@@ -67,19 +75,19 @@ def c6_23_matrix() -> IntMatrix:
 
 class TestSnf:
     def test_worked_example(self):
-        assert snf_diagonal(T6_MINUS_I) == (1, 1, 7)
+        assert cokernel_with_class(T6_MINUS_I)[0] == (1, 1, 7)
 
     def test_identity(self):
-        assert snf_diagonal(IntMatrix.identity(4)) == (1, 1, 1, 1)
+        assert cokernel_with_class(identity_matrix(4))[0] == (1, 1, 1, 1)
 
     def test_all_minus_ones(self):
         m = IntMatrix.from_rows([[-1] * 5 for _ in range(5)])
-        assert snf_diagonal(m) == (1, 0, 0, 0, 0)
+        assert cokernel_with_class(m)[0] == (1, 0, 0, 0, 0)
 
     def test_diagonal_invariants(self, rng):
         for _ in range(60):
             m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-            diag = snf_diagonal(m)
+            diag = cokernel_with_class(m)[0]
             assert all(s >= 0 for s in diag)
             nonzero = [s for s in diag if s != 0]
             assert diag[: len(nonzero)] == tuple(nonzero), "zeros must trail"
@@ -92,16 +100,17 @@ class TestSnf:
             m = random_matrix(rng, n, n)
             p = random_unimodular(rng, n)
             q = random_unimodular(rng, n)
-            assert snf_diagonal(p * m * q) == snf_diagonal(m)
+            pmq = mat_mul(mat_mul(p, m), q)
+            assert cokernel_with_class(pmq)[0] == cokernel_with_class(m)[0]
 
     def test_transpose_has_same_diagonal(self, rng):
         for _ in range(40):
             m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-            assert snf_diagonal(m) == snf_diagonal(m.transpose())
+            assert cokernel_with_class(m)[0] == cokernel_with_class(transpose(m))[0]
 
     def test_rectangular(self):
         m = IntMatrix.from_rows([[2, 0, 0], [0, 3, 0]])
-        assert snf_diagonal(m) == (1, 6)
+        assert cokernel_with_class(m)[0] == (1, 6)
 
 
 def _diagonal_matrix(entries) -> IntMatrix:
@@ -151,7 +160,7 @@ class TestDet:
             if d == 0:
                 continue
             checked += 1
-            assert abs(d) == prod(snf_diagonal(m))
+            assert abs(d) == prod(cokernel_with_class(m)[0])
 
     def test_singular(self):
         assert det(IntMatrix.from_rows([[1, 1, 1]] * 3)) == 0
@@ -626,25 +635,45 @@ class TestRank:
         assert rank(IntMatrix.from_rows([[-1] * 6 for _ in range(6)])) == 1
 
     def test_identity(self):
-        assert rank(IntMatrix.identity(5)) == 5
+        assert rank(identity_matrix(5)) == 5
 
     def test_zero(self):
-        assert rank(IntMatrix.zero(3, 3)) == 0
+        assert rank(zero_matrix(3, 3)) == 0
 
 
 class TestMatPow:
     def test_companion_sixth_power(self):
         t = IntMatrix.from_rows([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
         assert mat_pow(t, 6).to_lists() == [[1, 1, 2], [2, 2, 3], [1, 2, 2]]
-        assert (mat_pow(t, 6) - IntMatrix.identity(3)) == T6_MINUS_I
+        assert mat_sub(mat_pow(t, 6), identity_matrix(3)) == T6_MINUS_I
 
     def test_zeroth_power(self, rng):
         m = random_matrix(rng, 4, 4)
-        assert mat_pow(m, 0) == IntMatrix.identity(4)
+        assert mat_pow(m, 0) == identity_matrix(4)
 
     def test_fibonacci_entries(self):
         m = IntMatrix.from_rows([[0, 1], [1, 1]])
         assert mat_pow(m, 10).to_lists() == [[34, 55], [55, 89]]
+
+
+@pytest.mark.parametrize(
+    "build, bad, good, expected",
+    [
+        (IntMatrix.from_rows, [[2.5]], [[True, 2]], IntMatrix(1, 2, (1, 2))),
+        (IntMatrix.from_rows, [[1, 2], [3, Fraction(1, 2)]], [[1, 2], [3, False]],
+         IntMatrix(2, 2, (1, 2, 3, 0))),
+        (Circulant.of, [0.5, 1.2], [False, True], Circulant((0, 1))),
+        (IntPolynomial.of, [1.9, 2.2], [1, True], IntPolynomial((1, 1))),
+        (FinAbGroup.from_invariants, [2.7, 4.2], [2, True, 4], FinAbGroup((2, 4))),
+        (FinAbGroup.from_invariants, iter([2, 4.0]), iter([2, 4]), FinAbGroup((2, 4))),
+    ],
+)
+def test_constructors_refuse_non_int_input(build, bad, good, expected):
+    # Truncating would give [[2.5]] the cokernel Z_2 and the invariants
+    # [2.7, 4.2] the group Z_2 + Z_4.  A bool counts as an int, stored as 0 or 1.
+    with pytest.raises(ValueError):
+        build(bad)
+    assert repr(build(good)) == repr(expected)
 
 
 class TestCokernel:
@@ -653,7 +682,7 @@ class TestCokernel:
         assert cokernel(m) == FinAbGroup((7,))
 
     def test_zero_matrix(self):
-        assert cokernel(IntMatrix.zero(2, 2)) == FinAbGroup(free_rank=2)
+        assert cokernel(zero_matrix(2, 2)) == FinAbGroup(free_rank=2)
 
     def test_already_smith(self):
         assert cokernel(IntMatrix.from_rows([[2, 0], [0, 4]])) == FinAbGroup((2, 4))
@@ -682,7 +711,7 @@ class TestElementOrder:
         assert cokernel_with_class(m, [0, 1])[2] == 3
 
     def test_infinite_order(self):
-        m = IntMatrix.zero(2, 2)
+        m = zero_matrix(2, 2)
         assert cokernel_with_class(m, [1, 0])[2] is None
         # A surplus row against a nonzero coordinate of the reduced class.
         m = IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]])
@@ -715,7 +744,7 @@ class TestElementOrder:
             vec = [rng.randint(-2, 2) for _ in range(rows)]
             diag, group, order = cokernel_with_class(m, vec)
             assert cokernel_with_class(m) == (diag, group, None)
-            assert diag == snf_diagonal(m)
+            assert diag == cokernel_with_class(m)[0]
             assert group == cokernel(m)
             if order is None:
                 assert not any(lattice_membership(m, vec, d) for d in range(1, 13))
@@ -803,7 +832,7 @@ class TestMatrixFile:
             read_matrix("3 2\n1 2\n")
 
     def test_rejects_extra_rows(self):
-        assert read_matrix("2 2\n1 0\n0 1\n\n") == IntMatrix.identity(2)
+        assert read_matrix("2 2\n1 0\n0 1\n\n") == identity_matrix(2)
         for extra in ("5 5", "7 7 7"):
             with pytest.raises(MatrixFormatError) as exc:
                 read_matrix(f"2 2\n1 0\n0 1\n{extra}\n")
