@@ -29,6 +29,8 @@ class IntPolynomial:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not all_ints(self.coeffs):
+            raise ValueError("polynomial coefficients must be integers")
         if self.coeffs and self.coeffs[-1] == 0:
             raise ValueError("coefficients must be canonical (no trailing zeros)")
 
@@ -142,6 +144,8 @@ class Circulant:
     def __post_init__(self):
         if not self.first_row:
             raise ValueError("circulant needs a nonempty first row")
+        if not all_ints(self.first_row):
+            raise ValueError("circulant entries must be integers")
 
     @classmethod
     def of(cls, row: Sequence[int]) -> "Circulant":

@@ -486,10 +486,11 @@ def verify_Tn_structure(d1: int, d2: int, n: int) -> bool:
 
     Row i of T^n (1-indexed) reads G at d2 consecutive indices starting at
     n - i for i <= d2 - d1 and at n - i + d2 past the jump row d2 - d1 + 1,
-    where G is the (d1, d2) gap sequence extended to all integers.
+    where G is the (d1, d2) gap sequence extended to all integers.  At
+    d1 = 1 every row reads d2 places further on, so d1 = 1 is refused.
     """
-    if not 1 <= d1 < d2:
-        raise InvalidSpecError("need 1 <= d1 < d2")
+    if not 2 <= d1 < d2:
+        raise InvalidSpecError("need 2 <= d1 < d2")
     if gcd(d1, d2) != 1:
         raise InvalidSpecError("d1 and d2 must be coprime")
     if n < 1:

@@ -8,10 +8,10 @@ nearest-integer quotients that diagonalizes the dense remainder, then a
 gcd/lcm pass that chains the diagonal), determinants (sparse ±1 pivots in
 Markowitz order, then fraction-free Bareiss elimination on the dense
 remainder), and cokernels presented as finitely generated abelian groups
-in invariant-factor form.  The two sparse phases share only
-``_pivot_rows``, which copies the input rows and decides whether any pivot
-could pay; each eliminates on its own copy with its own code, so det stays
-an independent witness of the Smith form.
+in invariant-factor form.  The two sparse phases share the pivot order
+(``_pivot_rows``, ``_supports``, ``_unit_pivot_order``) but not the
+elimination: each updates its own copy of the rows with its own code, so
+det stays an independent witness of the Smith form.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be positive")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entries length must be rows * cols")
+        if not all_ints(self.entries):
+            raise ValueError("matrix entries must be integers")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -131,6 +133,8 @@ class FinAbGroup:
     free_rank: int = 0
 
     def __post_init__(self):
+        if not all_ints((self.free_rank, *self.torsion)):
+            raise ValueError("invariant factors and free rank must be integers")
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
         for t in self.torsion:
@@ -274,19 +278,12 @@ def _diagonalize(a: list[list[int]], cols: int) -> None:
 
 
 def _unit_pivots(m: Matrix, vec: Sequence[int] | None) -> tuple[int, list[list[int]], int]:
-    """Take ±1 pivots of m in Markowitz order; return what is left.
+    """Take ±1 pivots of m in ``_unit_pivot_order``; return what is left.
 
-    The rows are held as dicts (column -> value) with one support set per
-    column.  A heap yields the ±1 entry p of least Markowitz cost
-    (nnz(row) - 1)(nnz(col) - 1); its cost is recomputed when popped and
-    pushed back if it rose, and the ±1 entries that fill-in creates are
-    pushed as they appear.  Costs that fell are not pushed again, so before
-    stopping the heap is rebuilt once at current costs.  As p^-1 = p, exact
-    row operations clear p's column, and column operations, which no
-    passenger sees, then clear its row: the pivot adds a unit to the raw
-    diagonal and drops out.  The phase stops when no ±1 entry is left or
-    the best one costs as much as a dense step, 2 * cost >= (r - 1)(c - 1)
-    on the live r x c block.
+    As p^-1 = p, exact row operations clear p's column, and column
+    operations, which no passenger sees, then clear its row: the pivot adds
+    a unit to the raw diagonal and drops out.  The ±1 entries this creates
+    are pushed as they appear.
 
     Returns (units, rest, rest_cols): the number of pivots taken, the rows
     of the Schur complement left, each with its passenger (the matching
@@ -294,7 +291,7 @@ def _unit_pivots(m: Matrix, vec: Sequence[int] | None) -> tuple[int, list[list[i
     count.  Input where no pivot could pass (see ``_pivot_rows``) is
     returned whole as dense rows.
     """
-    rows, cols = m.rows, m.cols
+    cols = m.cols
     sparse, dense = _pivot_rows(m)
     if dense is not None:
         if vec is not None:
@@ -302,54 +299,10 @@ def _unit_pivots(m: Matrix, vec: Sequence[int] | None) -> tuple[int, list[list[i
                 row.append(x)
         return 0, dense, cols
 
-    support: list[set[int] | None] = [set() for _ in range(cols)]
-    for i, row in enumerate(sparse):
-        for j in row:
-            support[j].add(i)
+    support = _supports(sparse, cols)
     w = list(vec) if vec is not None else None
-    live_rows, live_cols = rows, cols
     heap: list[tuple[int, int, int]] = []
-    exact = False
-    while True:
-        if not heap:
-            if exact:
-                break
-            heap = [
-                ((len(row) - 1) * (len(support[j]) - 1), i, j)
-                for i, row in enumerate(sparse)
-                if row is not None
-                for j, x in row.items()
-                if x == 1 or x == -1
-            ]
-            heapify(heap)
-            exact = True
-            continue
-        cost, pi, pj = heappop(heap)
-        prow = sparse[pi]
-        if prow is None:
-            continue
-        p = prow.get(pj)
-        if p != 1 and p != -1:
-            continue
-        fresh = (len(prow) - 1) * (len(support[pj]) - 1)
-        if fresh > cost:
-            heappush(heap, (fresh, pi, pj))
-            continue
-        if 2 * fresh >= (live_rows - 1) * (live_cols - 1):
-            if exact:
-                break
-            heap = []
-            continue
-        exact = False
-        live_rows -= 1
-        live_cols -= 1
-        sparse[pi] = None
-        del prow[pj]
-        for c in prow:
-            support[c].discard(pi)
-        others = support[pj]
-        support[pj] = None
-        others.discard(pi)
+    for pi, pj, p, prow, others in _unit_pivot_order(sparse, support, heap):
         for k in others:
             rk = sparse[k]
             f = rk.pop(pj) * p
@@ -377,7 +330,81 @@ def _unit_pivots(m: Matrix, vec: Sequence[int] | None) -> tuple[int, list[list[i
             if w is not None:
                 line.append(w[i])
             rest.append(line)
-    return rows - live_rows, rest, len(keep)
+    return cols - len(keep), rest, len(keep)
+
+
+def _supports(rows: list[dict[int, int]], cols: int) -> list[set[int] | None]:
+    """One set per column: the indices of the rows with a nonzero there."""
+    support: list[set[int] | None] = [set() for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            support[j].add(i)
+    return support
+
+
+def _unit_pivot_order(rows: list[dict[int, int] | None], support: list[set[int] | None],
+                      heap: list[tuple[int, int, int]]):
+    """Yield the ±1 pivots of rows in Markowitz order, each detached.
+
+    rows are dicts (column -> value) and support[j] the rows with a nonzero
+    in column j (``_supports``).  The pivot is the ±1 entry p of least
+    Markowitz cost (nnz(row) - 1)(nnz(col) - 1), popped from heap, a heap
+    of (cost, row, column) that the caller feeds with the ±1 entries its
+    row updates create.  A popped cost is recomputed and pushed back if it
+    rose, and the entry is skipped if it is no longer ±1.  Costs that fell
+    need not be pushed again, so before stopping the heap is rebuilt once
+    at current costs.  The order stops when no ±1 entry is left or the
+    best one costs as much as a dense step, 2 * cost >= (r - 1)(c - 1) on
+    the live r x c block.
+
+    Each pivot comes as (i, j, p, prow, others): rows[i] and support[j] are
+    None, prow is row i less column j, gone from every column support, and
+    others holds the other rows with a nonzero in column j.  The caller
+    clears column j from them before it asks for the next pivot.
+    """
+    live_rows, live_cols = len(rows), len(support)
+    exact = False
+    while True:
+        if not heap:
+            if exact:
+                return
+            heap[:] = [
+                ((len(row) - 1) * (len(support[j]) - 1), i, j)
+                for i, row in enumerate(rows)
+                if row is not None
+                for j, x in row.items()
+                if x == 1 or x == -1
+            ]
+            heapify(heap)
+            exact = True
+            continue
+        cost, i, j = heappop(heap)
+        prow = rows[i]
+        if prow is None:
+            continue
+        p = prow.get(j)
+        if p != 1 and p != -1:
+            continue
+        fresh = (len(prow) - 1) * (len(support[j]) - 1)
+        if fresh > cost:
+            heappush(heap, (fresh, i, j))
+            continue
+        if 2 * fresh >= (live_rows - 1) * (live_cols - 1):
+            if exact:
+                return
+            heap.clear()
+            continue
+        exact = False
+        live_rows -= 1
+        live_cols -= 1
+        rows[i] = None
+        del prow[j]
+        for c in prow:
+            support[c].discard(i)
+        others = support[j]
+        support[j] = None
+        others.discard(i)
+        yield i, j, p, prow, others
 
 
 def _pivot_rows(m: Matrix) -> tuple[list[dict[int, int]] | None, list[list[int]] | None]:
@@ -493,17 +520,15 @@ def det(m: Matrix) -> int:
     """Exact determinant: sparse ±1 pivots first, then Bareiss on what is left.
 
     I - A^t has a few nonzeros per row, nearly all ±1.  Phase 1 holds the
-    rows as sparse dicts and takes the ±1 entry p of least Markowitz cost
-    (nnz(row) - 1)(nnz(col) - 1) from a heap that is updated as pivots
-    change the costs.  As p^-1 = p, clearing its column from the
-    other rows is exact, and expanding along that column multiplies the
-    determinant by p and by the parity of the pivot's position among the
-    live rows and columns.  Phase 1 stops when no ±1 entry is left or the
-    best one costs as much as a Bareiss step on the live block; phase 2 runs
-    fraction-free (Bareiss) elimination on the Schur complement that
-    remains.  Input where no entry could pass that rule goes to phase 2
-    whole.  Nothing here is shared with the Smith core, so det stays an
-    independent witness of |K0|.
+    rows as sparse dicts and takes pivots in ``_unit_pivot_order``.  As
+    p^-1 = p, clearing its column from the other rows is exact, and
+    expanding along that column multiplies the determinant by p and by the
+    parity of the pivot's position among the live rows and columns.  Each
+    row a pivot updates has its ±1 entries pushed again at their new cost.
+    Phase 2 runs fraction-free (Bareiss) elimination on the Schur
+    complement that remains.  Input where no pivot could pass goes to
+    phase 2 whole.  No elimination is shared with the Smith core, so det
+    stays an independent witness of |K0|.
     """
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
@@ -513,62 +538,17 @@ def det(m: Matrix) -> int:
         return _bareiss(dense)
     if not all(rows):
         return 0
-    cols: list[set[int]] = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
+    support = _supports(rows, n)
     live_rows = list(range(n))
     live_cols = list(range(n))
     sign = 1
-    # Pivots come from a heap of (cost, row, column); a popped cost is
-    # recomputed and pushed back if it rose.  Each row a pivot updates has
-    # its ±1 entries pushed again at their new cost, which may have fallen;
-    # entries whose column lost a row are not, so before stopping the heap
-    # is rebuilt once at current costs.
-    queue: list[tuple[int, int, int]] = []
-    exact = False
-    while True:
-        if not queue:
-            if exact:
-                break
-            queue = [
-                ((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j)
-                for i in live_rows
-                for j, x in rows[i].items()
-                if x == 1 or x == -1
-            ]
-            heapify(queue)
-            exact = True
-            continue
-        cost, pi, pj = heappop(queue)
-        prow = rows[pi]
-        if prow is None:
-            continue
-        p = prow.get(pj)
-        if p != 1 and p != -1:
-            continue
-        fresh = (len(prow) - 1) * (len(cols[pj]) - 1)
-        if fresh > cost:
-            heappush(queue, (fresh, pi, pj))
-            continue
-        # A pivot passes while 2 * cost < (r - 1)^2, r the number of live rows.
-        if 2 * fresh >= (len(live_rows) - 1) ** 2:
-            if exact:
-                break
-            queue = []
-            continue
-        exact = False
+    heap: list[tuple[int, int, int]] = []
+    for pi, pj, p, prow, others in _unit_pivot_order(rows, support, heap):
         ri = bisect_left(live_rows, pi)
         del live_rows[ri]
         rj = bisect_left(live_cols, pj)
         del live_cols[rj]
         sign *= -p if (ri + rj) & 1 else p
-        rows[pi] = None
-        del prow[pj]
-        for c in prow:
-            cols[c].discard(pi)
-        others = cols[pj]
-        others.discard(pi)
         for k in others:
             rk = rows[k]
             f = rk.pop(pj) * p
@@ -576,20 +556,20 @@ def det(m: Matrix) -> int:
                 y = rk.get(c)
                 if y is None:
                     rk[c] = -f * x
-                    cols[c].add(k)
+                    support[c].add(k)
                 else:
                     y -= f * x
                     if y:
                         rk[c] = y
                     else:
                         del rk[c]
-                        cols[c].discard(k)
+                        support[c].discard(k)
             if not rk:
                 return 0
             fan = len(rk) - 1
             for c, y in rk.items():
                 if y == 1 or y == -1:
-                    heappush(queue, (fan * (len(cols[c]) - 1), k, c))
+                    heappush(heap, (fan * (len(support[c]) - 1), k, c))
     rest = [[rows[i].get(c, 0) for c in live_cols] for i in live_rows]
     return sign * _bareiss(rest)
 

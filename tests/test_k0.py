@@ -495,6 +495,12 @@ class TestTnStructure:
         with pytest.raises(InvalidSpecError):
             verify_Tn_structure(2, 4, 5)
 
+    def test_rejects_d1_one(self):
+        # At d1 = 1 every row of T^n reads the gap sequence d2 places further on.
+        for d2 in range(2, 6):
+            with pytest.raises(InvalidSpecError):
+                verify_Tn_structure(1, d2, 5)
+
     @pytest.mark.parametrize("d1, d2, n", [(2, 5, 3000), (3, 4, 5000), (2, 3, 5000)])
     def test_large_n_within_the_recursion_limit(self, d1, d2, n):
         # A gap sequence filled by recursion nests n / d1 calls, past

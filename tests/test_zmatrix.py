@@ -24,6 +24,8 @@ from k0lab.zmatrix import (
     _bareiss,
     _diagonalize,
     _invariant_factors,
+    _supports,
+    _unit_pivot_order,
     cokernel,
     cokernel_with_class,
     det,
@@ -474,6 +476,102 @@ class TestSparseSmith:
         assert [det(m) for m in mats] == expected
 
 
+def _contract_checked(real, builds: list[int], log: list[int]):
+    """``_unit_pivot_order`` with its contract asserted at every pivot and at the stop.
+
+    builds[0] counts the heap builds (``heapify`` calls); log gets that count
+    at each pivot.
+    """
+
+    def checked(rows, support, heap):
+        order = real(rows, support, heap)
+        while True:
+            live_cols = {j for j, s in enumerate(support) if s is not None}
+            entries = {(i, j): x for i, row in enumerate(rows) if row is not None
+                       for j, x in row.items()}
+            r, c = sum(row is not None for row in rows), len(live_cols)
+            try:
+                i, j, p, prow, others = next(order)
+            except StopIteration:
+                for (i, j), x in entries.items():
+                    if x == 1 or x == -1:
+                        cost = (len(rows[i]) - 1) * (len(support[j]) - 1)
+                        assert 2 * cost >= (r - 1) * (c - 1), (i, j, cost, r, c)
+                return
+            # A ±1 entry of a live row and column when yielded, then detached.
+            assert p in (1, -1) and entries.get((i, j)) == p and j in live_cols
+            assert rows[i] is None and support[j] is None
+            assert prow == {y: x for (k, y), x in entries.items() if k == i and y != j}
+            assert others == {k for k, y in entries if y == j and k != i}
+            assert all(i not in support[y] for y in prow)
+            log.append(builds[0])
+            yield i, j, p, prow, others
+
+    return checked
+
+
+class TestUnitPivotOrder:
+    """det and the Smith core take their ±1 pivots from one ``_unit_pivot_order``."""
+
+    def _pivots(self, monkeypatch, mats) -> list[list[int]]:
+        """Run both phases on each matrix under the contract check; per call,
+        the number of heap builds before each pivot."""
+        expected = [(det(m) if m.rows == m.cols else None, cokernel_with_class(m, [1] * m.rows))
+                    for m in mats]
+        builds, logs = [0], []
+        heapify = k0lab.zmatrix.heapify
+
+        def counted(heap):
+            builds[0] += 1
+            heapify(heap)
+
+        def fresh_log(real):
+            def order(rows, support, heap):
+                builds[0] = 0
+                logs.append([])
+                return _contract_checked(real, builds, logs[-1])(rows, support, heap)
+            return order
+
+        monkeypatch.setattr(k0lab.zmatrix, "heapify", counted)
+        monkeypatch.setattr(k0lab.zmatrix, "_unit_pivot_order",
+                            fresh_log(k0lab.zmatrix._unit_pivot_order))
+        got = [(det(m) if m.rows == m.cols else None, cokernel_with_class(m, [1] * m.rows))
+               for m in mats]
+        assert got == expected
+        return logs
+
+    def test_random_sparse_graphs(self, monkeypatch):
+        rng = random.Random(22051)
+        mats = [_chorded_cycle(rng, v, sink=v % 3 == 0).i_minus_at() for v in range(5, 60, 3)]
+        mats += [build_cayley(CayleySpec.dihedral(n)).i_minus_at() for n in range(3, 30, 4)]
+        logs = self._pivots(monkeypatch, mats)
+        assert len(logs) == 2 * len(mats) and all(logs)
+
+    def test_random_rectangular(self, monkeypatch):
+        rng = random.Random(22052)
+        mats = []
+        for _ in range(60):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            mats.append(IntMatrix.from_rows(
+                [[rng.choice([-1, 1, -1, 1, 2, -2, 3]) if rng.random() < 0.3 else 0
+                  for _ in range(cols)] for _ in range(rows)]))
+        assert sum(map(len, self._pivots(monkeypatch, mats))) > 60
+
+    def test_no_unit_entry_yields_nothing(self):
+        rows = [{0: 2, 1: 3}, {0: -2, 2: 5}, {1: 4, 2: -3}]
+        support = _supports(rows, 3)
+        assert list(_unit_pivot_order(rows, support, [])) == []
+        assert all(rows) and support == [{0, 1}, {0, 2}, {1, 2}]
+
+    def test_stale_costs_are_rebuilt_before_stopping(self, monkeypatch):
+        # In the Smith core the last pivot of D_4's I - A^t has a stale cost
+        # that fails the stop rule; only the rebuilt heap finds it.
+        m = build_cayley(CayleySpec.dihedral(4)).i_minus_at()
+        det_log, smith_log = self._pivots(monkeypatch, [m])
+        assert max(det_log) == 1
+        assert smith_log == [1, 1, 1, 1, 1, 2]
+
+
 @st.composite
 def _dense_with_class(draw):
     """Up to 5 x 5 of any shape with entries in -9..9 and no bias to ±1:
@@ -666,6 +764,12 @@ class TestMatPow:
         (IntPolynomial.of, [1.9, 2.2], [1, True], IntPolynomial((1, 1))),
         (FinAbGroup.from_invariants, [2.7, 4.2], [2, True, 4], FinAbGroup((2, 4))),
         (FinAbGroup.from_invariants, iter([2, 4.0]), iter([2, 4]), FinAbGroup((2, 4))),
+        # The dataclass constructors check too, and store a bool as given.
+        (lambda e: IntMatrix(1, len(e), e), (2.5,), (True, 2), IntMatrix(1, 2, (True, 2))),
+        (FinAbGroup, (2.0, 4.0), (2, 4), FinAbGroup((2, 4))),
+        (lambda r: FinAbGroup((2,), r), 1.0, 1, FinAbGroup((2,), 1)),
+        (Circulant, (0.5, 1.2), (False, True), Circulant((False, True))),
+        (IntPolynomial, (1.9, 2.2), (1, True), IntPolynomial((1, True))),
     ],
 )
 def test_constructors_refuse_non_int_input(build, bad, good, expected):
