@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import sys
+from functools import cache
 from itertools import combinations, islice, product
 from math import gcd
 from multiprocessing import Pool
@@ -360,6 +361,7 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@cache  # one parser per process: building it costs more than a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="k0lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

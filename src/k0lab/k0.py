@@ -16,7 +16,11 @@ A^t) is +-det P.  No n x n graph or matrix is built on that path.  T is
 multiplication by x on Z[x]/(h), so P and g come from x^n mod (x - 1) h,
 one ``circulant.x_pow_mod`` call: O(L^2 log n) products, with no matrix
 power.  ``circulant.oriented_arc`` chooses and orients the arc, with its
-sign, for this side and for ``circulant.cayley_det`` alike.
+sign, for this side and for ``circulant.cayley_det`` alike.  Under
+"companion_reduction" P is reduced modulo D = |Res(h, r)|, r = (x^n - 1)
+mod h its column 0: D = |det P|, found by a route that shares nothing with
+the reduction or with ``det``, so the entries stay below D and |K0| = |det|
+still checks the reduction.  "both" and the full path reduce exactly.
 
 A generating {r^a, r^k s} of D_m with unit weights and m >= 3 goes the same
 way: Z[D_m] is free of rank 2 over Z[x]/(x^m - 1), and the image of
@@ -285,8 +289,9 @@ def analyze(
     shortest window (``_shortest_window``), then K0, the order of [1] and
     det(I - A^t) = +-det P from P = T_h^n - I alone, and build no n x n
     graph or matrix; the Smith diagonal is still stated at size s_k (ones,
-    torsion, zeros).  "both" also runs the full reduction and checks K0
-    and the order of [1] against it.
+    torsion, zeros).  "companion_reduction" reduces P modulo |Res(h, r)|
+    (module docstring); "both" reduces it exactly, also runs the full
+    reduction and checks K0 and the order of [1] against it.
     A dihedral spec with a cyclic twin (``_cyclic_twin``) reports
     "full_snf" under "auto" and "full", but K0 and the order of [1] come
     from the twin's window and det from ``circulant.cayley_det`` of the
@@ -336,7 +341,13 @@ def analyze(
         cyclic = twin or spec
         h, window_sign = _shortest_window(cyclic)
         p, g = _companion_presentation(h, cyclic.n)
-        _, k0_result, order = cokernel_with_class(p, g)
+        modulus = None
+        if method == "companion_reduction":  # never the twin, whose method is full_snf
+            # |Res(h, r)| for r = (x^n - 1) mod h, column 0 of P, is |det P| by
+            # a route that shares nothing with the reduction or with ``det``.
+            r = circ.IntPolynomial.of([p.at(i, 0) for i in range(p.rows)])
+            modulus = abs(circ.resultant(h, r)) or None  # P singular: exact
+        _, k0_result, order = cokernel_with_class(p, g, modulus=modulus)
         if twin:  # the full_snf report of the 2m x 2m matrix, from the twin
             diag = _stated_diagonal(k0_result, n)
             det_value = circ.cayley_det(twin)

@@ -4,14 +4,16 @@ Matrices come dense (``IntMatrix``) or as sparse rows (``SparseIntMatrix``,
 the form graphs give I - A^t in); the determinant and the Smith core take
 either.  Everything here works with arbitrary-precision Python ints: Smith
 diagonals (sparse ±1 pivots in Markowitz order, a column-local Euclid with
-nearest-integer quotients that diagonalizes the dense remainder, then a
-gcd/lcm pass that chains the diagonal), determinants (sparse ±1 pivots in
-Markowitz order, then fraction-free Bareiss elimination on the dense
-remainder), and cokernels presented as finitely generated abelian groups
-in invariant-factor form.  The two sparse phases share the pivot order
-(``_pivot_rows``, ``_supports``, ``_unit_pivot_order``) but not the
-elimination: each updates its own copy of the rows with its own code, so
-det stays an independent witness of the Smith form.
+nearest-integer quotients that diagonalizes the dense remainder, or unit
+pivots and Bezout steps over Z/D given a multiple D of the largest
+invariant factor, then a gcd/lcm pass that chains the diagonal),
+determinants (sparse ±1 pivots in Markowitz order, then fraction-free
+Bareiss elimination on the dense remainder), and cokernels presented as
+finitely generated abelian groups in invariant-factor form.  The two
+sparse phases share the pivot order (``_pivot_rows``, ``_supports``,
+``_unit_pivot_order``) but not the elimination: each updates its own copy
+of the rows with its own code, so det stays an independent witness of the
+Smith form.
 """
 
 from __future__ import annotations
@@ -277,6 +279,80 @@ def _diagonalize(a: list[list[int]], cols: int) -> None:
                 row[t], row[pj] = row[pj], row[t]
 
 
+def _bezout(x: int, y: int) -> tuple[int, int, int, int]:
+    """(s, c, u, v) with s x + c y = g = gcd(x, y), x = g u and y = g v, for y != 0.
+
+    ((s, c), (-v, u)) has det s u + c v = 1 and takes (x, y) to (g, 0).
+    u is a unit mod v, so s = u^-1 mod v (0 when v = 1) and c = (1 - s u) / v.
+    """
+    g = gcd(x, y)
+    u, v = x // g, y // g
+    s = pow(u, -1, v)
+    return s, (1 - s * u) // v, u, v
+
+
+def _diagonalize_mod(a: list[list[int]], cols: int, d: int) -> None:
+    """Reduce the first ``cols`` columns of a to a diagonal over Z/d, in place.
+
+    Bounded coefficients modulo d (Domich, Kannan & Trotter, Math. Oper.
+    Res. 12, 1987): every entry, passengers included, is kept in [0, d).
+    Passengers move as in ``_diagonalize``.  Over Z/d a diagonal entry x
+    generates the same ideal as gcd(x, d), so the caller reads that as the
+    raw diagonal entry.
+
+    Step t alternates two moves until row and column t are clear.  The
+    column move takes a unit of Z/d from row t down as the pivot when there
+    is one: one row operation then clears each other row, and as column t is
+    a unit over zeros, column operations clear row t and touch nothing
+    else.  With no unit, 2 x 2 Bezout steps (``_bezout``) fold each lower row
+    into row t, which ends holding the gcd of the column.  The row move runs
+    the same steps on row t as column operations: an entry that gcd(a[t][t],
+    d) divides is cleared by a column operation that touches row t alone
+    while column t is zero below it, and any other takes a Bezout step,
+    which strictly lowers a[t][t].  If that refills column t below row t,
+    the column move runs again.
+    """
+    rows = len(a)
+    for row in a:
+        row[:] = [x % d for x in row]
+    for t in range(min(rows, cols)):
+        while True:
+            pi = next((i for i in range(t, rows) if gcd(a[i][t], d) == 1), None)
+            if pi is not None:
+                a[t], a[pi] = a[pi], a[t]
+                at = a[t]
+                inv = pow(at[t], -1, d)
+                tail = at[t:]
+                for ai in a[t + 1:]:
+                    if ai[t]:
+                        q = ai[t] * inv % d
+                        ai[t:] = [(y - q * z) % d for y, z in zip(ai[t:], tail)]
+                at[t + 1:cols] = [0] * (cols - t - 1)
+                break
+            at = a[t]
+            for i in range(t + 1, rows):
+                ai = a[i]
+                if ai[t]:
+                    s, c, u, v = _bezout(at[t], ai[t])
+                    pairs = list(zip(at[t:], ai[t:]))
+                    at[t:] = [(s * y + c * z) % d for y, z in pairs]
+                    ai[t:] = [(u * z - v * y) % d for y, z in pairs]
+            e = gcd(at[t], d)
+            for j in range(t + 1, cols):
+                if at[j] % e == 0:
+                    at[j] = 0
+                    continue
+                s, c, u, v = _bezout(at[t], at[j])
+                for row in a[t:]:
+                    y, z = row[t], row[j]
+                    row[t], row[j] = (s * y + c * z) % d, (u * z - v * y) % d
+                if any(ai[t] for ai in a[t + 1:]):
+                    break
+                e = gcd(at[t], d)
+            else:
+                break
+
+
 def _unit_pivots(m: Matrix, vec: Sequence[int] | None) -> tuple[int, list[list[int]], int]:
     """Take ±1 pivots of m in ``_unit_pivot_order``; return what is left.
 
@@ -467,7 +543,7 @@ def _invariant_factors(diag: Sequence[int]) -> tuple[int, ...]:
 
 
 def cokernel_with_class(
-    m: Matrix, vec: Sequence[int] | None = None
+    m: Matrix, vec: Sequence[int] | None = None, *, modulus: int | None = None
 ) -> tuple[tuple[int, ...], FinAbGroup, int | None]:
     """One reduction of m: its Smith diagonal, its cokernel, and the order of [vec].
 
@@ -489,12 +565,28 @@ def cokernel_with_class(
     unit to the raw diagonal, and ``_diagonalize`` reduces the Schur
     complement left; a unit s_i divides every coordinate, so only the
     remainder's rows bear on the order.
+
+    With a ``modulus`` D >= 1, ``_diagonalize_mod`` reduces the remainder
+    over Z/D instead, with raw entries gcd(a[i][i], D) and D for a surplus
+    row.  The result is that of Coker(m) / D Coker(m) = + Z/gcd(s_i, D), so
+    it equals the exact one when D is a multiple of the largest invariant
+    factor, such as a nonzero det of a square m.  Entries then stay below
+    D, and a pivot that is a unit mod D clears each row in one operation
+    where exact Euclid passes take many on large entries.  Only a D found
+    independently of this reduction keeps |Coker| = |det| a witness: a
+    divisor of det that s_L does not divide fails it, any other passes.
     """
     if vec is not None and len(vec) != m.rows:
         raise ValueError("vector length must equal rows")
+    if modulus is not None and modulus < 1:
+        raise ValueError("modulus must be positive")
     units, a, cols = _unit_pivots(m, vec)
-    _diagonalize(a, cols)
-    raw = [a[i][i] for i in range(min(len(a), cols))]
+    if modulus is None:
+        _diagonalize(a, cols)
+        raw = [a[i][i] for i in range(min(len(a), cols))]
+    else:
+        _diagonalize_mod(a, cols, modulus)
+        raw = [gcd(a[i][i], modulus) if i < cols else modulus for i in range(len(a))]
     diag = _invariant_factors([1] * units + raw)
     group = FinAbGroup.from_invariants(diag, free_rank=m.rows - len(diag))
     if vec is None:

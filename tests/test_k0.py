@@ -358,13 +358,37 @@ class TestReportWitnesses:
             analyze(spec)
         monkeypatch.setattr(k0lab.k0, "det", real_det)
 
-        def doubled_order(m, vec=None):
-            diag, group, order = real_reduce(m, vec)
+        def doubled_order(m, vec=None, *, modulus=None):
+            diag, group, order = real_reduce(m, vec, modulus=modulus)
             return diag, group, 2 * order
 
         monkeypatch.setattr(k0lab.k0, "cokernel_with_class", doubled_order)
         with pytest.raises(InternalCheckError, match="does not divide W - 1"):
             analyze(spec)
+
+    def test_companion_modulus_is_witnessed(self, monkeypatch):
+        """The companion side reduces P modulo |Res(h, r)|.  K0 is cyclic here,
+        so a proper divisor of the true value breaks |K0| = |det|, with det
+        from Bareiss; a multiple of it changes nothing."""
+        spec = CayleySpec.cyclic(25, [1, 2], [1, 2])
+        report = analyze(spec, method="companion")
+        assert report.k0.is_cyclic and abs(report.det_value) == report.k0.order() == 67108862
+        real = k0lab.circulant._resultant
+        calls = []
+
+        def scaled(factor):
+            def resultant(a, b):
+                calls.append(factor)
+                return real(a, b) * factor // 2  # 2 is the least prime of the true value
+            return resultant
+
+        monkeypatch.setattr(k0lab.circulant, "_resultant", scaled(1))
+        with pytest.raises(InternalCheckError, match=r"\|K0\| = 33554431 but \|det\| = 67108862"):
+            analyze(spec, method="companion")
+        for factor in (4, -6):
+            monkeypatch.setattr(k0lab.circulant, "_resultant", scaled(factor))
+            assert analyze(spec, method="companion") == report
+        assert calls == [1, 4, -6]
 
 
 class TestReportJson:
@@ -807,8 +831,8 @@ class TestDihedralTwin:
     def test_twin_report_is_witnessed(self, monkeypatch):
         real_reduce = k0lab.k0.cokernel_with_class
 
-        def doubled_order(m, vec=None):
-            diag, group, order = real_reduce(m, vec)
+        def doubled_order(m, vec=None, *, modulus=None):
+            diag, group, order = real_reduce(m, vec, modulus=modulus)
             return diag, group, 2 * order
 
         monkeypatch.setattr(k0lab.k0, "cokernel_with_class", doubled_order)

@@ -6,7 +6,7 @@ from itertools import combinations, permutations, product
 from math import floor, gcd, lcm, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import k0lab.zmatrix
@@ -701,6 +701,88 @@ class TestDiagonalize:
         diag, group, order = cokernel_with_class(p, g)
         assert prod(diag) == group.order() == abs(cayley_det(spec))
         assert order == 1
+
+
+@st.composite
+def _nonsingular_with_class(draw):
+    """Square up to 5 x 5, entries in -9..9, plain or all even, nonsingular,
+    with a class vector."""
+    n = draw(st.integers(1, 5))
+    entries = [[draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        entries = [[2 * x for x in row] for row in entries]
+    m = IntMatrix.from_rows(entries)
+    assume(det(m) != 0)
+    return m, draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+
+
+def _modulus_corpus() -> list[tuple[IntMatrix, list[int]]]:
+    """Nonsingular matrices with a class vector: negative entries, 1 x 1,
+    det ±1 (D = 1), all even, a sparse I - A^t, and companion P's with
+    their class g, up to n = 10^4."""
+    mats = [
+        IntMatrix.from_rows([[-4, 6], [7, -9]]),
+        IntMatrix.from_rows([[-6, -10, 4], [-15, 9, -21], [10, -14, 7]]),
+        IntMatrix.from_rows([[-12]]),
+        IntMatrix.from_rows([[7]]),
+        IntMatrix.from_rows([[2, 3, 0], [1, 2, -5], [0, 0, -1]]),
+        IntMatrix.from_rows([[2, 4, 6], [8, 10, 12], [14, 16, 20]]),
+        IntMatrix.from_rows([[-6, 4, 0], [0, 6, -4], [10, 0, 8]]),
+        T6_MINUS_I,
+        c6_23_matrix(),
+    ]
+    out = [(m, [(-1) ** i * (i + 2) for i in range(m.rows)]) for m in mats]
+    for n, gens in [(30, [2, 3]), (41, [1, 5]), (37, [1, 2, 7]), (36, [1, 3, 5]), (10**4, [2, 3])]:
+        spec = CayleySpec.cyclic(n, gens)
+        out.append(_companion_presentation(companion_matrix(spec).char_poly, n))
+    return out
+
+
+class TestModulus:
+    """cokernel_with_class over Z/D equals the exact reduction when D is a
+    multiple of the largest invariant factor, and is Coker(m) / D Coker(m)
+    for any D."""
+
+    @staticmethod
+    def _check_multiples(m: IntMatrix, vec):
+        exact = cokernel_with_class(m, vec)
+        for k in (1, 2, 3):
+            assert cokernel_with_class(m, vec, modulus=k * abs(det(m))) == exact, (m, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_nonsingular_with_class())
+    def test_hypothesis_multiple_of_det_is_exact(self, case):
+        self._check_multiples(*case)
+
+    def test_corpus_multiple_of_det_is_exact(self):
+        corpus = _modulus_corpus()
+        assert 1 in {abs(det(m)) for m, _ in corpus}
+        for m, vec in corpus:
+            self._check_multiples(m, vec)
+            assert cokernel_with_class(m, modulus=abs(det(m))) == cokernel_with_class(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dense_with_class(), st.integers(1, 60))
+    @example((IntMatrix.from_rows([[2, 0], [0, 12]]), [1, 1]), 8)
+    @example((IntMatrix.from_rows([[2, 0], [0, 12]]), [1, 1]), 9)
+    @example((IntMatrix.from_rows([[4, 0], [0, 6], [0, 0]]), [1, 1, 1]), 10)
+    def test_any_modulus_gives_the_cokernel_mod_d(self, case, d):
+        """+ Z/gcd(s_i, d), a free summand giving Z/d, with [vec] mapped into
+        it: the exact cokernel of [m | d I]."""
+        m, vec = case
+        diag, group, order = cokernel_with_class(m, vec, modulus=d)
+        exact = cokernel_with_class(m)[0]
+        padded = exact + (0,) * (m.rows - len(exact))
+        assert diag == _invariant_factors([gcd(s, d) for s in padded])
+        stacked = IntMatrix.from_rows(
+            [list(m.row(i)) + [d * (i == j) for j in range(m.rows)] for i in range(m.rows)]
+        )
+        assert (diag, group, order) == cokernel_with_class(stacked, vec)
+
+    @pytest.mark.parametrize("modulus", [-6, -1, 0])
+    def test_modulus_must_be_positive(self, modulus):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            cokernel_with_class(T6_MINUS_I, [1, 1, 1], modulus=modulus)
 
 
 class TestSparseInput:
