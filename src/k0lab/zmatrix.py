@@ -330,8 +330,7 @@ def _diagonalize_mod(a: list[list[int]], cols: int, d: int) -> None:
                 at[t + 1:cols] = [0] * (cols - t - 1)
                 break
             at = a[t]
-            for i in range(t + 1, rows):
-                ai = a[i]
+            for ai in a[t + 1:]:
                 if ai[t]:
                     s, c, u, v = _bezout(at[t], ai[t])
                     pairs = list(zip(at[t:], ai[t:]))
