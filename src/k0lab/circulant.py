@@ -367,7 +367,8 @@ def cayley_det(spec) -> int:
 
 def oriented_arc(spec, unit_end: bool = False) -> tuple[int, list[int]]:
     """(sign, h) with prod f(zeta) = sign * prod h(zeta) over the n-th roots
-    of unity zeta, for f = 1 - sum_s w(s) x^s; (1, []) when f is zero.
+    of unity zeta, for f = 1 - sum_s w(s) x^s; (1, []) when f is zero or,
+    with ``unit_end``, when no coefficient of f is +-1.
 
     h is the g of ``weight_arc(spec, unit_end)``, with f = x^a g modulo
     x^n - 1 and deg g = L, reversed when |g[0]| <= |g[-1]|, so that the
@@ -399,8 +400,10 @@ def weight_arc(spec, unit_end: bool = False) -> tuple[int, list[int]]:
     end; deg g is the arc's length, and a lone point's gap is n.  Ties keep
     the wrap gap, so when no arc is shorter, x^a is the largest power of x
     dividing f and g = f / x^a.  With ``unit_end`` only a gap with a
-    coefficient +-1 at one end may be dropped, so g[0] or g[-1] is +-1; such
-    a gap exists when 0 is not in S, since f then has constant term 1.
+    coefficient +-1 at one end may be dropped, so g[0] or g[-1] is +-1.
+    Every nonzero coefficient ends a gap, so such a gap exists exactly when
+    f has a coefficient +-1, as it does when 0 is not in S (constant term
+    1); when none is +-1 there is no unit-end arc and the result is (0, []).
     ``oriented_arc`` orients the arc for ``cayley_det``, which takes it
     whatever its ends, and for the companion side, which takes it with
     ``unit_end``; ``is_cayley_singular`` reads g as it is.
@@ -417,6 +420,8 @@ def weight_arc(spec, unit_end: bool = False) -> tuple[int, list[int]]:
     for low, high in zip([points[-1] - n, *points], points):  # the wrap gap first
         if high - low > gap and (not unit_end or 1 in (abs(coeffs[low % n]), abs(coeffs[high]))):
             gap, start = high - low, high
+    if start is None:  # unit_end, and no coefficient of f is +-1
+        return 0, []
     g = [0] * (n - gap + 1)
     for q in points:
         g[(q - start) % n] = coeffs[q]

@@ -4,23 +4,31 @@ From a weighted Cayley graph (or any finite graph) this computes
 det(I - A^t), the Grothendieck group as a finitely generated abelian
 group, and the order of the class of the all-ones vector, either by a
 full Smith reduction of the n x n matrix or by the companion-matrix
-shortcut.  For a cyclic spec with 0 not in S, K0 = Z[x]/(x^n - 1, f) with
-f = 1 - sum w(s) x^s, and [1] maps to N = sum_{i<n} x^i.  Any arc of Z_n
-that holds {0} and S and has a coefficient +-1 at one end gives a monic h
-of degree L, the arc's length, with the same quotient and class:
+shortcut.  For a cyclic spec, K0 = Z[x]/(x^n - 1, f) with f = 1 - sum
+w(s) x^s, and [1] maps to N = sum_{i<n} x^i.  Any arc of Z_n that holds
+every nonzero coefficient of f and has a coefficient +-1 at one end gives a
+monic h of degree L, the arc's length, with the same quotient and class:
 multiplying f by a power of x and substituting x -> 1/x change neither.
-The shortcut takes the shortest such arc (L <= s_k) and yields all three
-invariants from the L x L matrix P = T^n - I alone, T the companion
-matrix of h: K0 = Coker P, [1] maps to g = sum_{i<n} T^i e_L, and det(I -
-A^t) is +-det P.  No n x n graph or matrix is built on that path.  T is
-multiplication by x on Z[x]/(h), so P and g come from x^n mod (x - 1) h,
-one ``circulant.x_pow_mod`` call: O(L^2 log n) products, with no matrix
-power.  ``circulant.oriented_arc`` chooses and orients the arc, with its
-sign, for this side and for ``circulant.cayley_det`` alike.  Under
+The shortcut takes the shortest such arc (L <= s_k when 0 is not in S,
+since f then has constant term 1) and yields all three invariants from the
+L x L matrix P = T^n - I alone, T the companion matrix of h: K0 = Coker P,
+[1] maps to g = sum_{i<n} T^i e_L, and det(I - A^t) is +-det P.  No
+n x n graph or matrix is built on that path.  T is multiplication by x on
+Z[x]/(h), so P and g come from x^n mod (x - 1) h, one
+``circulant.x_pow_mod`` call: O(L^2 log n) products, with no matrix power.
+``circulant.oriented_arc`` chooses and orients the arc, with its sign, for
+this side and for ``circulant.cayley_det`` alike.  Under
 "companion_reduction" P is reduced modulo D = |Res(h, r)|, r = (x^n - 1)
 mod h its column 0: D = |det P|, found by a route that shares nothing with
 the reduction or with ``det``, so the entries stay below D and |K0| = |det|
 still checks the reduction.  "both" and the full path reduce exactly.
+
+A cyclic spec with 0 in S has such an arc exactly when f has a coefficient
++-1.  Under "auto" past ``CROSSCHECK_LIMIT``, with W >= 2 and 1 <= L <=
+s_k, it goes through the same window, modulus and Bareiss det, but its
+report is the "full_snf" one of the n x n matrix: the diagonal is stated at
+size n and no graph is built.  A longer window costs more than the sparse
+full path, which every other 0 in S spec takes.
 
 A generating {r^a, r^k s} of D_m with unit weights and m >= 3 goes the same
 way: Z[D_m] is free of rank 2 over Z[x]/(x^m - 1), and the image of
@@ -67,7 +75,8 @@ def _char_poly(gens: tuple[int, ...], weights: tuple[int, ...]) -> circ.IntPolyn
 
 def _shortest_window(spec: CayleySpec) -> tuple[circ.IntPolynomial, int]:
     """(h, sign): the monic h of degree L that the companion side reduces for
-    a cyclic spec with 0 not in S, and det(I - A^t) = sign det(T_h^n - I).
+    a cyclic spec whose f has a coefficient +-1 (every spec with 0 not in S),
+    and det(I - A^t) = sign det(T_h^n - I).
 
     ``circulant.oriented_arc`` reads f along the shortest arc of Z_n with a
     unit end, of length L, oriented so that the unit end c = +-1 leads, and
@@ -296,6 +305,11 @@ def analyze(
     "full_snf" under "auto" and "full", but K0 and the order of [1] come
     from the twin's window and det from ``circulant.cayley_det`` of the
     twin; the diagonal is stated at size n = 2m and no graph is built.
+    Past the limit "auto" gives a cyclic spec with 0 in S, W >= 2 and a
+    unit-end window of length 1 <= L <= s_k the same "full_snf" report,
+    with K0 and the order of [1] from its own window, P reduced modulo
+    |Res(h, r)| as under "companion_reduction", det = +-det P by Bareiss,
+    and the diagonal stated at size n; other 0 in S specs take the full path.
     ``det`` shares no elimination with either Smith reduction, so
     |K0| = |det| stays a witness.
     """
@@ -324,11 +338,16 @@ def analyze(
         n = graph.vertex_count
 
     companion_ok = spec is not None and spec.is_cyclic and 0 not in spec.gens and pis
+    window = twin  # a cyclic spec whose shortest window gives a full_snf report
     if method == "auto":
         if companion_ok:
             method = "both" if n <= CROSSCHECK_LIMIT else "companion_reduction"
         else:
             method = "full_snf"
+            if n > CROSSCHECK_LIMIT and spec is not None and spec.is_cyclic and pis:
+                # 0 in S: the window when f has a +-1 coefficient and L <= s_k
+                arc = circ.weight_arc(spec, unit_end=True)[1]
+                window = spec if 1 <= len(arc) - 1 <= max(spec.gens) else None
     elif method == "full":
         method = "full_snf"
     elif method == "companion":
@@ -337,24 +356,21 @@ def analyze(
     elif not companion_ok:
         raise InvalidSpecError("method 'both' needs a cyclic spec with 0 not in S and W >= 2")
 
-    if method != "full_snf" or twin:
-        cyclic = twin or spec
+    if method != "full_snf" or window:
+        cyclic = window or spec
         h, window_sign = _shortest_window(cyclic)
         p, g = _companion_presentation(h, cyclic.n)
         modulus = None
-        if method == "companion_reduction":  # never the twin, whose method is full_snf
+        if method != "both" and not twin:  # det below is Bareiss on P
             # |Res(h, r)| for r = (x^n - 1) mod h, column 0 of P, is |det P| by
             # a route that shares nothing with the reduction or with ``det``.
             r = circ.IntPolynomial.of([p.at(i, 0) for i in range(p.rows)])
             modulus = abs(circ.resultant(h, r)) or None  # P singular: exact
         _, k0_result, order = cokernel_with_class(p, g, modulus=modulus)
-        if twin:  # the full_snf report of the 2m x 2m matrix, from the twin
-            diag = _stated_diagonal(k0_result, n)
-            det_value = circ.cayley_det(twin)
-        else:
-            diag = _stated_diagonal(k0_result, max(spec.gens))
-            det_value = window_sign * det(p)
-    if method != "companion_reduction" and not twin:
+        # A window's report is the full_snf one of the n x n matrix.
+        diag = _stated_diagonal(k0_result, n if window else max(spec.gens))
+        det_value = circ.cayley_det(twin) if twin else window_sign * det(p)
+    if method != "companion_reduction" and not window:
         if graph is None:
             graph = build_cayley(spec)
         m = graph.i_minus_at()

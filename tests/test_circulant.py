@@ -170,18 +170,23 @@ class TestCayleyDet:
             for weights in itertools.product(range(1, 4 if size < 3 else 3), repeat=size)
         )
         # oriented_arc's (sign, h) must give the same product, for both kinds
-        # of arc (a unit end exists when 0 is not in S), ties ({1, n - 1} at
-        # weights (1, 1) and (2, 2)) included.  circulant_det ends in the same
-        # resultant as cayley_det, so up to n = 12 the matrix det (sparse
-        # pivots, then Bareiss) is a second expected value.
+        # of arc, ties ({1, n - 1} at weights (1, 1) and (2, 2)) included.  A
+        # unit-end arc exists exactly when some coefficient of f is +-1, as
+        # when 0 is not in S; without one h is empty.  circulant_det ends in
+        # the same resultant as cayley_det, so up to n = 12 the matrix det
+        # (sparse pivots, then Bareiss) is a second expected value.
         count = 0
         for spec in itertools.chain(small, arc_families()):
             want = circulant_det(cayley_circulant(spec))
             assert cayley_det(spec) == want, (spec.n, spec.gens, spec.weights)
             if spec.n <= 12:
                 assert det(circulant_matrix(cayley_circulant(spec))) == want, spec
-            for unit_end in (False, True) if 0 not in spec.gens else (False,):
+            for unit_end in (False, True):
                 sign, h = oriented_arc(spec, unit_end)
+                if unit_end:
+                    assert bool(h) == (1 in map(abs, cayley_circulant(spec).first_row)), spec
+                    if not h:
+                        continue
                 product = resultant(x_pow_minus_one(spec.n), IntPolynomial.of(h))
                 assert sign * product == want, (spec.n, spec.gens, spec.weights, unit_end)
                 assert not h or abs(h[-1]) <= abs(h[0]) and (abs(h[-1]) == 1 or not unit_end)
@@ -214,6 +219,21 @@ class TestCayleyDet:
             representer_poly = representer(cayley_circulant(spec))
             expected = bool(singular_cyclotomic_divisors(representer_poly, n))
             assert is_cayley_singular(spec) == expected
+
+    @pytest.mark.parametrize(
+        "n, gens, weights, length",
+        [
+            (7, (0, 1), (3, 2), 1),  # f = -2 - 2x
+            (50, (0, 3, 5), (1, 2, 3), 2),  # f = -2x^3 - 3x^5: w_0 = 1 clears the constant
+        ],
+    )
+    def test_no_unit_end_arc(self, n, gens, weights, length):
+        spec = CayleySpec.cyclic(n, gens, weights)
+        assert weight_arc(spec, unit_end=True) == (0, [])
+        assert oriented_arc(spec, unit_end=True) == (1, [])
+        # An arc with any ends still exists, and cayley_det reads it.
+        assert len(weight_arc(spec)[1]) - 1 == length
+        assert cayley_det(spec) == circulant_det(cayley_circulant(spec))
 
     @pytest.mark.parametrize("n", [10**4, 10**4 + 1])
     def test_loop_plus_step_closed_form(self, n):

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 import k0lab.circulant
+import k0lab.graphs
 import k0lab.k0
 from k0lab.circulant import IntPolynomial
 from k0lab.errors import (
@@ -391,6 +392,32 @@ class TestReportWitnesses:
         assert calls == [1, 4, -6]
 
 
+    def test_zero_window_modulus_is_witnessed(self, monkeypatch):
+        """A spec with 0 in S and a +-1 coefficient takes its full_snf report
+        from the window past the limit, P reduced modulo |Res(h, r)| there too;
+        K0 is cyclic, so half the true value breaks |K0| = |det|."""
+        spec = CayleySpec.cyclic(25, [0, 1, 3], [2, 1, 2])  # f = -1 - x - 2x^3
+        report = analyze(spec)
+        assert report.method == "full_snf" and report.k0.is_cyclic
+        assert abs(report.det_value) == report.k0.order() == 25944404
+        real = k0lab.circulant._resultant
+        calls = []
+
+        def scaled(factor):
+            def resultant(a, b):
+                calls.append(factor)
+                return real(a, b) * factor // 2  # 2 is the least prime of the true value
+            return resultant
+
+        monkeypatch.setattr(k0lab.circulant, "_resultant", scaled(1))
+        with pytest.raises(InternalCheckError, match=r"\|K0\| = 12972202 but \|det\| = 25944404"):
+            analyze(spec)
+        for factor in (4, -6):
+            monkeypatch.setattr(k0lab.circulant, "_resultant", scaled(factor))
+            assert analyze(spec) == report
+        assert calls == [1, 4, -6]
+
+
 class TestReportJson:
     SCHEMA_KEYS = {
         "n",
@@ -727,6 +754,93 @@ class TestShortestWindow:
                         assert report.snf_diag == cokernel_with_class(p)[0], (n, gens, weights)
                         count += 1
         assert count == 4661
+
+
+class TestZeroInSWindow:
+    """A cyclic spec with 0 in S whose f has a +-1 coefficient and whose
+    shortest unit-end window has 1 <= L <= s_k: past the cross-check limit
+    ``auto`` takes K0, the order of [1] and det from the window and states
+    the full_snf report of the n x n matrix, byte for byte, with no graph."""
+
+    @staticmethod
+    def _window_degrees(monkeypatch):
+        degrees = []
+        presentation = k0lab.k0._companion_presentation
+
+        def recording(h, n):
+            degrees.append(h.degree())
+            return presentation(h, n)
+
+        monkeypatch.setattr(k0lab.k0, "_companion_presentation", recording)
+        return degrees
+
+    def test_auto_matches_full_on_every_small_spec(self, monkeypatch):
+        # Every generating S of Z_n with 0 in S, n <= 12, |S| <= 3, weights
+        # <= 3, W < 2 and specs with no window included.
+        monkeypatch.setattr(k0lab.k0, "CROSSCHECK_LIMIT", 0)
+        degrees = self._window_degrees(monkeypatch)
+        count = 0
+        for n in range(1, 13):
+            for size in (1, 2, 3):
+                for rest in itertools.combinations(range(1, n), size - 1):
+                    gens = (0, *rest)
+                    if gcd(n, *gens) != 1:
+                        continue
+                    for weights in itertools.product((1, 2, 3), repeat=size):
+                        spec = CayleySpec.cyclic(n, gens, weights)
+                        auto, full = analyze(spec), analyze(spec, method="full")
+                        assert auto.to_json() == full.to_json(), (n, gens, weights)
+                        assert auto.render_text() == full.render_text(), (n, gens, weights)
+                        count += 1
+        assert count == 5700
+        assert len(degrees) == 3788 and 1 <= min(degrees) and max(degrees) <= 11
+
+    @pytest.mark.parametrize(
+        "n, gens, weights, length",
+        [
+            (25, (0, 1, 3), (2, 1, 2), 3),
+            (37, (0, 1, 36), (3, 1, 2), 2),  # the arc [n - 1, 1] around 0
+            (40, (0, 2, 3), (1, 1, 2), 1),  # w_0 = 1 leaves 0 out of the arc
+            (40, (0, 1), (2, 1), 1),  # f = -1 - x: singular, K0 has a free summand
+            (30, (0, 1, 4), (1, 2, 1), 3),
+            (3000, (0, 1, 5), (2, 1, 3), 5),
+        ],
+    )
+    def test_auto_past_limit_builds_no_graph(self, monkeypatch, n, gens, weights, length):
+        spec = CayleySpec.cyclic(n, gens, weights)
+        full = analyze(spec, method="full")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("n x n work on the window path")
+
+        monkeypatch.setattr(k0lab.graphs, "build_cayley", forbidden)
+        monkeypatch.setattr(k0lab.k0, "build_cayley", forbidden)
+        monkeypatch.setattr(DirectedMultigraph, "i_minus_at", forbidden)
+        degrees = self._window_degrees(monkeypatch)
+        report = analyze(spec)
+        assert degrees == [length]
+        assert report.method == "full_snf" and len(report.snf_diag) == n
+        assert (report.to_json(), report.render_text()) == (full.to_json(), full.render_text())
+
+    @pytest.mark.parametrize(
+        "n, gens, weights",
+        [
+            (40, (0, 1), (3, 3)),  # f = -2 - 3x: no +-1 coefficient
+            (50, (0, 3, 5), (1, 2, 3)),  # f = -2x^3 - 3x^5
+            (123, (0, 1, 6), (3, 1, 3)),  # L = 118 > s_k = 6
+            (20, (0, 2, 3), (1, 1, 2)),  # a window, but n <= CROSSCHECK_LIMIT
+        ],
+    )
+    def test_other_zero_specs_take_the_full_path(self, monkeypatch, n, gens, weights):
+        spec = CayleySpec.cyclic(n, gens, weights)
+        built = []
+        monkeypatch.setattr(
+            k0lab.k0, "build_cayley", lambda s: built.append(s) or build_cayley(s)
+        )
+        degrees = self._window_degrees(monkeypatch)
+        report = analyze(spec)
+        assert built == [spec] and degrees == []
+        assert report.method == "full_snf" and len(report.snf_diag) == n
 
 
 class TestDihedralTwin:
