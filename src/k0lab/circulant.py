@@ -7,7 +7,9 @@ takes that product from f = 1 - sum w(s) x^s read along the shortest arc
 of Z_n that holds its nonzero coefficients, a polynomial h of degree
 L <= s_k: it reduces x^n mod h by square-and-multiply, O(L^2 log n)
 products, and runs the resultant on polynomials of degree at most L.  One
-pseudo-remainder loop on int lists (``_reduce``) serves both steps.
+pseudo-remainder loop on int lists (``_reduce``) serves both steps.  The
+companion side of ``k0`` reads the shortest arc whose ends are admissible
+(``weight_arc``), whatever its lead, through the same ``x_pow_mod``.
 Singularity is decided by exact cyclotomic divisibility, never by
 floating point.
 """
@@ -365,22 +367,21 @@ def cayley_det(spec) -> int:
     return sign * (-1) ** (n * d) * content**n * value
 
 
-def oriented_arc(spec, unit_end: bool = False) -> tuple[int, list[int]]:
+def oriented_arc(spec, admissible: bool = False) -> tuple[int, list[int]]:
     """(sign, h) with prod f(zeta) = sign * prod h(zeta) over the n-th roots
     of unity zeta, for f = 1 - sum_s w(s) x^s; (1, []) when f is zero or,
-    with ``unit_end``, when no coefficient of f is +-1.
+    with ``admissible``, when f has no admissible arc.
 
-    h is the g of ``weight_arc(spec, unit_end)``, with f = x^a g modulo
+    h is the g of ``weight_arc(spec, admissible)``, with f = x^a g modulo
     x^n - 1 and deg g = L, reversed when |g[0]| <= |g[-1]|, so that the
-    end of smaller magnitude leads; with ``unit_end`` that end is +-1.
-    x^a contributes (prod zeta)^a = (-1)^((n+1)a) to the sign.  Since
-    x -> 1/x permutes the roots of unity, the reversal x^L g(1/x)
-    contributes (-1)^((n+1)L).  This is the one place the sign of the arc
-    is worked out: ``cayley_det`` and the companion side
-    (``k0._shortest_window``) both read it here.
+    end of smaller magnitude leads.  x^a contributes (prod zeta)^a =
+    (-1)^((n+1)a) to the sign.  Since x -> 1/x permutes the roots of unity,
+    the reversal x^L g(1/x) contributes (-1)^((n+1)L).  This is the one
+    place the sign of the arc is worked out: ``cayley_det`` and the
+    companion side (``k0._shortest_window``) both read it here.
     """
     n = spec.n
-    start, h = weight_arc(spec, unit_end)
+    start, h = weight_arc(spec, admissible)
     if not h:
         return 1, h
     exponent = (n + 1) * start
@@ -390,7 +391,7 @@ def oriented_arc(spec, unit_end: bool = False) -> tuple[int, list[int]]:
     return (-1 if exponent % 2 else 1), h
 
 
-def weight_arc(spec, unit_end: bool = False) -> tuple[int, list[int]]:
+def weight_arc(spec, admissible: bool = False) -> tuple[int, list[int]]:
     """(a, coefficients of g) with f = x^a g modulo x^n - 1 for f = 1 - sum_s
     w(s) x^s, g read along the shortest arc of Z_n that holds every nonzero
     coefficient of f; (0, []) when f is zero.
@@ -399,14 +400,15 @@ def weight_arc(spec, unit_end: bool = False) -> tuple[int, list[int]]:
     coefficients, the wrap gap included, and starts at a, the gap's upper
     end; deg g is the arc's length, and a lone point's gap is n.  Ties keep
     the wrap gap, so when no arc is shorter, x^a is the largest power of x
-    dividing f and g = f / x^a.  With ``unit_end`` only a gap with a
-    coefficient +-1 at one end may be dropped, so g[0] or g[-1] is +-1.
-    Every nonzero coefficient ends a gap, so such a gap exists exactly when
-    f has a coefficient +-1, as it does when 0 is not in S (constant term
-    1); when none is +-1 there is no unit-end arc and the result is (0, []).
-    ``oriented_arc`` orients the arc for ``cayley_det``, which takes it
-    whatever its ends, and for the companion side, which takes it with
-    ``unit_end``; ``is_cayley_singular`` reads g as it is.
+    dividing f and g = f / x^a.  With ``admissible`` only a gap with
+    admissible ends may be dropped: every prime p that divides both ends
+    leaves a single term of f mod p, which then is a unit of
+    F_p[x]/(x^n - 1), so K0 has no p-part (``k0`` module docstring).  Ends
+    with a +-1 among them, or coprime, are admissible; when the content of
+    f exceeds 1 no gap is, and the result is (0, []).  ``oriented_arc``
+    orients the arc for ``cayley_det``, which takes it whatever its ends,
+    and for the companion side, which takes it with ``admissible``;
+    ``is_cayley_singular`` reads g as it is.
     """
     if not spec.is_cyclic:
         raise ValueError("circulant analysis needs a cyclic-group spec")
@@ -416,16 +418,49 @@ def weight_arc(spec, unit_end: bool = False) -> tuple[int, list[int]]:
     points = sorted(q for q, c in coeffs.items() if c)
     if not points:
         return 0, []
+    if admissible:
+        values = [coeffs[q] for q in points]
+        if gcd(*values) != 1:
+            return 0, []
     gap, start = 0, None
     for low, high in zip([points[-1] - n, *points], points):  # the wrap gap first
-        if high - low > gap and (not unit_end or 1 in (abs(coeffs[low % n]), abs(coeffs[high]))):
+        if high - low > gap and (
+            not admissible or _admissible_ends(coeffs[low % n], coeffs[high], values)
+        ):
             gap, start = high - low, high
-    if start is None:  # unit_end, and no coefficient of f is +-1
+    if start is None:  # admissible, and no gap has admissible ends
         return 0, []
     g = [0] * (n - gap + 1)
     for q in points:
         g[(q - start) % n] = coeffs[q]
     return start, g
+
+
+def _admissible_ends(u: int, v: int, values: list[int]) -> bool:
+    """Whether every prime p of gcd(u, v) leaves exactly one of the nonzero
+    values, of gcd 1, nonzero mod p.
+
+    p leaves only values[i] when it divides G_i, the gcd of all the others
+    (and then not values[i], as the values have gcd 1), so the primes of
+    the product of the G_i, from prefix and suffix gcds, are those p.
+    """
+    common = gcd(u, v)
+    if common == 1:
+        return True
+    prefix = [0]
+    for x in values:
+        prefix.append(gcd(prefix[-1], x))
+    single, suffix = 1, 0
+    for i in range(len(values) - 1, -1, -1):
+        single *= gcd(prefix[i], suffix) or 1
+        suffix = gcd(suffix, values[i])
+    return coprime_part(common, single) == 1
+
+
+def coprime_part(x: int, y: int) -> int:
+    """The largest divisor of x prime to y: x with every prime of y divided
+    out, by one gcd against y^(bit length of x); 0 stays 0."""
+    return x // gcd(x, y ** x.bit_length()) if y != 1 else x
 
 
 def x_pow_mod(f: list[int], n: int) -> tuple[list[int], int]:

@@ -6,42 +6,56 @@ group, and the order of the class of the all-ones vector, either by a
 full Smith reduction of the n x n matrix or by the companion-matrix
 shortcut.  For a cyclic spec, K0 = Z[x]/(x^n - 1, f) with f = 1 - sum
 w(s) x^s, and [1] maps to N = sum_{i<n} x^i.  Any arc of Z_n that holds
-every nonzero coefficient of f and has a coefficient +-1 at one end gives a
-monic h of degree L, the arc's length, with the same quotient and class:
-multiplying f by a power of x and substituting x -> 1/x change neither.
-The shortcut takes the shortest such arc (L <= s_k when 0 is not in S,
-since f then has constant term 1) and yields all three invariants from the
-L x L matrix P = T^n - I alone, T the companion matrix of h: K0 = Coker P,
-[1] maps to g = sum_{i<n} T^i e_L, and det(I - A^t) is +-det P.  No
-n x n graph or matrix is built on that path.  T is multiplication by x on
-Z[x]/(h), so P and g come from x^n mod (x - 1) h, one
-``circulant.x_pow_mod`` call: O(L^2 log n) products, with no matrix power.
-``circulant.oriented_arc`` chooses and orients the arc, with its sign, for
-this side and for ``circulant.cayley_det`` alike.  Under
-"companion_reduction" P is reduced modulo D = |Res(h, r)|, r = (x^n - 1)
-mod h its column 0: D = |det P|, found by a route that shares nothing with
-the reduction or with ``det``, so the entries stay below D and |K0| = |det|
-still checks the reduction.  "both" and the full path reduce exactly.
+every nonzero coefficient of f gives a polynomial h of degree L, the arc's
+length, with the same quotient and class: multiplying f by a power of x
+and substituting x -> 1/x change neither.  The shortcut takes the shortest
+arc whose ends are admissible (``circulant.weight_arc``), oriented so that
+b = lc(h) > 0 is the end of smaller magnitude, and a0 = |h(0)|.  L <= s_k
+when 0 is not in S, since f then has constant term 1.
 
-A cyclic spec with 0 in S has such an arc exactly when f has a coefficient
-+-1.  Under "auto" past ``CROSSCHECK_LIMIT``, with W >= 2 and 1 <= L <=
-s_k, it goes through the same window, modulus and Bareiss det, but its
-report is the "full_snf" one of the n x n matrix: the diagonal is stated at
-size n and no graph is built.  A longer window costs more than the sparse
-full path, which every other 0 in S spec takes.
+Over Z[1/b], h / b is monic, so K0 localised away from b is Coker(T^n - I)
+for its companion matrix T, and [1] maps to N mod h.  In integers the
+shortcut reduces P' = b^E (T^n - I) (``_companion_presentation``): one
+``circulant.x_pow_mod`` call on (x - 1) h, O(L^2 log n) products with no
+matrix power, gives P' and the class, each multiplication by x mod h
+costing one factor b.  This side yields every p-part of K0 and of the
+order of [1] with p prime to b.  The reversed arc gives the same for p
+prime to a0, as x -> 1/x fixes the quotient and N; it runs only when a
+prime of b that does not divide a0 can divide |K0|.  A prime p that
+divides both ends leaves a single term of f mod p, a unit of
+F_p[x]/(x^n - 1), so K0 has no p-part.  When b = 1 the first side alone is
+the whole answer, as for every arc with a +-1 end.  No n x n graph or
+matrix is built on this path.
+
+det(I - A^t) = s (-1)^{nL} b^n det(P') / b^{EL}, s the arc's sign from
+``circulant.oriented_arc``, with det(P') by Bareiss.  Under
+"companion_reduction" D = |det| comes by a route that shares nothing with
+the reduction or with ``det``: b^(n - deg r - EL) |Res(h, r)|, r column 0
+of P'.  The b side reduces P' modulo the part of D prime to b, the
+reversed side modulo the rest, so entries stay below D and |K0| = |det|
+still checks the reduction.  When det = 0, and under "both", the sides
+reduce exactly and the primes that belong to the other side are divided
+out of each factor.
+
+A cyclic spec with 0 in S goes the same way under "auto" past
+``CROSSCHECK_LIMIT`` when W >= 2 and it has an admissible arc with 1 <= L
+<= s_k (none has when the content of f exceeds 1), but its report is the
+"full_snf" one of the n x n matrix: the diagonal is stated at size n and
+no graph is built.  Other 0 in S specs take the sparse full path.
 
 A generating {r^a, r^k s} of D_m with unit weights and m >= 3 goes the same
 way: Z[D_m] is free of rank 2 over Z[x]/(x^m - 1), and the image of
 I - A^t has a unit entry over that ring, so K0, the order of [1] and det
 are those of the cyclic twin C_m({1, m - 1}) (``_cyclic_twin``), whose
-shortest window has L = 2.  The report is still that of the full 2m x 2m
-Smith form; no graph is built.
+shortest arc has L = 2 and unit ends.  The report is still that of the
+full 2m x 2m Smith form; no graph is built.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from math import gcd
 
 from . import circulant as circ
@@ -74,20 +88,21 @@ def _char_poly(gens: tuple[int, ...], weights: tuple[int, ...]) -> circ.IntPolyn
 
 
 def _shortest_window(spec: CayleySpec) -> tuple[circ.IntPolynomial, int]:
-    """(h, sign): the monic h of degree L that the companion side reduces for
-    a cyclic spec whose f has a coefficient +-1 (every spec with 0 not in S),
-    and det(I - A^t) = sign det(T_h^n - I).
+    """(h, sign): the h of degree L that the companion side reduces, from
+    the shortest admissible arc of a cyclic spec, with lc(h) > 0, and
+    sign with det(I - A^t) = sign * b^n det(T^n - I), T the companion
+    matrix of h / b, b = lc(h).
 
-    ``circulant.oriented_arc`` reads f along the shortest arc of Z_n with a
-    unit end, of length L, oriented so that the unit end c = +-1 leads, and
-    gives the sign s of prod f(zeta) against it; h is c times that
-    polynomial.  Ties go to the wrap gap (s_k, 0), so the arc [0, s_k],
+    ``circulant.oriented_arc`` reads f along the arc, of length L, oriented
+    so that the end of smaller magnitude leads, and gives the sign s of
+    prod f(zeta) against it; h is c times that polynomial, c = +-1 the sign
+    of its lead.  Ties go to the wrap gap (s_k, 0), so the arc [0, s_k],
     reversed, gives ``_char_poly`` whenever no arc is shorter.  With
-    det(T_h^n - I) = (-1)^{nL} prod h(zeta), sign = s (-1)^{nL} c^n.
+    prod h(zeta) = (-1)^{nL} b^n det(T^n - I), sign = s (-1)^{nL} c^n.
     """
     n = spec.n
-    sign, g = circ.oriented_arc(spec, unit_end=True)
-    c = g[-1]
+    sign, g = circ.oriented_arc(spec, admissible=True)
+    c = 1 if g[-1] > 0 else -1
     h = circ.IntPolynomial(tuple(c * a for a in g))
     return h, sign * (-1 if n * (len(g) - 1) % 2 else 1) * (c if n % 2 else 1)
 
@@ -145,33 +160,110 @@ def _require_generating(spec: CayleySpec, graph: DirectedMultigraph | None) -> N
         raise NotGeneratingError("S does not generate the group")
 
 
-def _companion_presentation(h: circ.IntPolynomial, n: int) -> tuple[IntMatrix, list[int]]:
-    """P = T^n - I and g = sum_{i<n} T^i e_L for the companion matrix T of monic h of degree L.
+def _companion_presentation(h: circ.IntPolynomial, n: int) -> tuple[IntMatrix, list[int], int]:
+    """(P', g, E): P' = b^E (T^n - I) and g = b^(E - 1) sum_{i<n} T^i e_L,
+    for the companion matrix T of h / b, h of degree L and b = lc(h) > 0.
 
-    T is multiplication by x on Z[x]/(h) in the basis 1, x, ..., x^{L - 1},
-    so column j of T^n is x^{n+j} mod h and g is x^{L - 1} N mod h, with
-    N = 1 + x + ... + x^{n-1}.  One ``circulant.x_pow_mod`` call gives
-    r = x^n mod (x - 1) h, of degree at most L, and both: x^n mod h is
-    r - r_L h, and x^n - 1 = q (x - 1) h + (r - 1) makes N mod h the
-    quotient (r - 1) / (x - 1), whose coefficients are the suffix sums of
-    r[1:].  The other columns, and g, follow by multiplying by x mod h.
+    T is multiplication by x on Z[1/b][x]/(h) in the basis 1, x, ...,
+    x^{L - 1}, so column j of T^n is x^{n+j} mod h and the class is
+    x^{L - 1} N mod h, with N = 1 + x + ... + x^{n-1}.  One
+    ``circulant.x_pow_mod`` call gives r with b^e x^n = r mod (x - 1) h,
+    of degree at most L, and both: b^(e + 1) x^n mod h is b r - r_L h, and
+    b^e (x^n - 1) = q (x - 1) h + (r - b^e) makes b^e N mod h the quotient
+    (r - b^e) / (x - 1), whose coefficients are the suffix sums of r[1:].
+    The other columns, and the class, follow by multiplying by x mod h, at
+    one more factor b each; column j is then scaled to E = e + L.  For a
+    monic h, b^E = 1 and P' = T^n - I.
     """
     sk, hc = h.degree(), h.coeffs
-    r, _ = circ.x_pow_mod([a - b for a, b in zip((0, *hc), (*hc, 0))], n)
+    b = hc[-1]
+    r, e = circ.x_pow_mod([a - c for a, c in zip((0, *hc), (*hc, 0))], n)
 
-    def times_x(p: list[int]) -> list[int]:
-        return [a - p[-1] * c for a, c in zip([0, *p[:-1]], hc)]
+    def lowered(q: list[int]) -> list[int]:
+        """b q mod h, for q of degree at most L: its x^L term cancelled."""
+        low = q[:sk] if b == 1 else [b * a for a in q[:sk]]
+        return [a - q[sk] * c for a, c in zip(low, hc)]
 
-    power = [a - r[sk] * c for a, c in zip(r[:sk], hc)]
+    power = lowered(r)
     total = [sum(r[j + 1:]) for j in range(sk)]
     columns = []
     for _ in range(sk):
         columns.append(power)
-        power = times_x(power)
+        power = lowered([0, *power])
     for _ in range(sk - 1):
-        total = times_x(total)
-    p = IntMatrix.from_rows([[c[i] - (i == j) for j, c in enumerate(columns)] for i in range(sk)])
-    return p, total
+        total = lowered([0, *total])
+    scale = e + sk
+    if b != 1:
+        columns = [[x * b ** (sk - 1 - j) for x in c] for j, c in enumerate(columns)]
+    unit = b**scale
+    p = IntMatrix.from_rows(
+        [[c[i] - unit * (i == j) for j, c in enumerate(columns)] for i in range(sk)]
+    )
+    return p, total, scale
+
+
+def _unscaled(x: int, b: int, k: int) -> int:
+    """x b^k, exact when k < 0."""
+    if k >= 0:
+        return x * b**k
+    x, rest = divmod(x, b**-k)
+    if rest:
+        raise InternalCheckError("a power of the arc's lead does not divide its product")
+    return x
+
+
+def _arc_invariants(
+    h: circ.IntPolynomial, n: int, exact: bool
+) -> tuple[FinAbGroup, int | None, IntMatrix, int]:
+    """(K0, order of [1], P', E) of the cyclic quotient Z[x]/(x^n - 1, h),
+    from the two sides of the arc h (module docstring); the order is None
+    when infinite.
+
+    Unless ``exact``, each side reduces modulo its part of D = |det|, by
+    the resultant route; D = 0 reduces exactly.  An exact side divides the
+    other side's primes out of each invariant factor and of the order.
+    """
+    b, a0 = h.coeffs[-1], abs(h.coeffs[0])
+    p, g, scale = _companion_presentation(h, n)
+    d = 0
+    if not exact:
+        # |Res(h, r)| for r = b^E ((x^n - 1) mod h), column 0 of P'.
+        r = circ.IntPolynomial.of([p.at(i, 0) for i in range(p.rows)])
+        d = _unscaled(abs(circ.resultant(h, r)), b, n - r.degree() - scale * h.degree())
+    b_free = circ.coprime_part(d, b) or None
+    _, group, order = cokernel_with_class(p, g, modulus=b_free)
+    if b == 1:  # a unit lead: this side is the whole answer
+        return group, order, p, scale
+    torsion = group.torsion
+    b_primary = d // b_free if d else None
+    if b_primary is None:  # exact: keep the primes prime to b
+        torsion = [circ.coprime_part(t, b) for t in torsion]
+        order = order and circ.coprime_part(order, b)
+    # The reversed side, when a prime of b that a0 lacks can divide |K0|.
+    if (b_primary or circ.coprime_part(b, a0)) > 1:
+        c = 1 if h.coeffs[0] > 0 else -1
+        reverse = circ.IntPolynomial(tuple(c * x for x in reversed(h.coeffs)))
+        p_rev, g_rev, _ = _companion_presentation(reverse, n)
+        _, other, other_order = cokernel_with_class(p_rev, g_rev, modulus=b_primary)
+        other_torsion = other.torsion
+        if b_primary is None:  # exact: keep the primes of b that a0 lacks
+            other_torsion = [_b_part(t, b, a0) for t in other_torsion]
+            other_order = other_order and _b_part(other_order, b, a0)
+        # Coprime chains: the i-th largest factors multiply.
+        torsion = [
+            x * y
+            for x, y in zip_longest(sorted(torsion, reverse=True),
+                                    sorted(other_torsion, reverse=True), fillvalue=1)
+        ]
+        order = order and other_order and order * other_order
+    group = FinAbGroup.from_invariants(torsion, free_rank=group.free_rank)
+    return group, order, p, scale
+
+
+def _b_part(x: int, b: int, a0: int) -> int:
+    """The part of x whose primes divide b and not a0."""
+    part = x // circ.coprime_part(x, b)
+    return circ.coprime_part(part, a0)
 
 
 def json_text(obj) -> str:
@@ -295,21 +387,24 @@ def analyze(
     not in S only), "both" (run both and insist they agree), or "auto"
     (both for n up to ``CROSSCHECK_LIMIT``, companion beyond it, full when
     the shortcut does not apply).  The companion methods take h from the
-    shortest window (``_shortest_window``), then K0, the order of [1] and
-    det(I - A^t) = +-det P from P = T_h^n - I alone, and build no n x n
-    graph or matrix; the Smith diagonal is still stated at size s_k (ones,
-    torsion, zeros).  "companion_reduction" reduces P modulo |Res(h, r)|
-    (module docstring); "both" reduces it exactly, also runs the full
-    reduction and checks K0 and the order of [1] against it.
+    shortest admissible arc (``_shortest_window``), then K0, the order of
+    [1] and det(I - A^t) = +-b^n det P' / b^{EL} from P' = b^E (T^n - I),
+    and from the reversed arc's P' when a prime of b = lc(h) that h(0)
+    lacks can divide |K0| (``_arc_invariants``), and build no n x n graph
+    or matrix; the Smith diagonal is still stated at size s_k (ones,
+    torsion, zeros).  "companion_reduction" reduces each side modulo its
+    part of |det| by the resultant route (module docstring); "both"
+    reduces exactly, also runs the full reduction and checks K0 and the
+    order of [1] against it.
     A dihedral spec with a cyclic twin (``_cyclic_twin``) reports
     "full_snf" under "auto" and "full", but K0 and the order of [1] come
-    from the twin's window and det from ``circulant.cayley_det`` of the
+    from the twin's arc and det from ``circulant.cayley_det`` of the
     twin; the diagonal is stated at size n = 2m and no graph is built.
-    Past the limit "auto" gives a cyclic spec with 0 in S, W >= 2 and a
-    unit-end window of length 1 <= L <= s_k the same "full_snf" report,
-    with K0 and the order of [1] from its own window, P reduced modulo
-    |Res(h, r)| as under "companion_reduction", det = +-det P by Bareiss,
-    and the diagonal stated at size n; other 0 in S specs take the full path.
+    Past the limit "auto" gives a cyclic spec with 0 in S, W >= 2 and an
+    admissible arc of length 1 <= L <= s_k the same "full_snf" report,
+    with K0 and the order of [1] from its own arc, reduced modulo the parts
+    of |det| as under "companion_reduction", det by Bareiss on P', and the
+    diagonal stated at size n; other 0 in S specs take the full path.
     ``det`` shares no elimination with either Smith reduction, so
     |K0| = |det| stays a witness.
     """
@@ -345,8 +440,8 @@ def analyze(
         else:
             method = "full_snf"
             if n > CROSSCHECK_LIMIT and spec is not None and spec.is_cyclic and pis:
-                # 0 in S: the window when f has a +-1 coefficient and L <= s_k
-                arc = circ.weight_arc(spec, unit_end=True)[1]
+                # 0 in S: the arc path when an admissible arc has 1 <= L <= s_k
+                arc = circ.weight_arc(spec, admissible=True)[1]
                 window = spec if 1 <= len(arc) - 1 <= max(spec.gens) else None
     elif method == "full":
         method = "full_snf"
@@ -359,17 +454,15 @@ def analyze(
     if method != "full_snf" or window:
         cyclic = window or spec
         h, window_sign = _shortest_window(cyclic)
-        p, g = _companion_presentation(h, cyclic.n)
-        modulus = None
-        if method != "both" and not twin:  # det below is Bareiss on P
-            # |Res(h, r)| for r = (x^n - 1) mod h, column 0 of P, is |det P| by
-            # a route that shares nothing with the reduction or with ``det``.
-            r = circ.IntPolynomial.of([p.at(i, 0) for i in range(p.rows)])
-            modulus = abs(circ.resultant(h, r)) or None  # P singular: exact
-        _, k0_result, order = cokernel_with_class(p, g, modulus=modulus)
+        # The twin's det is cayley_det's; every other det is Bareiss on P',
+        # so a modulus by the resultant route keeps |K0| = |det| a witness.
+        k0_result, order, p, scale = _arc_invariants(h, cyclic.n, exact=method == "both" or twin)
         # A window's report is the full_snf one of the n x n matrix.
         diag = _stated_diagonal(k0_result, n if window else max(spec.gens))
-        det_value = circ.cayley_det(twin) if twin else window_sign * det(p)
+        if twin:
+            det_value = circ.cayley_det(twin)
+        else:
+            det_value = window_sign * _unscaled(det(p), h.coeffs[-1], n - scale * h.degree())
     if method != "companion_reduction" and not window:
         if graph is None:
             graph = build_cayley(spec)

@@ -352,7 +352,9 @@ def _diagonalize_mod(a: list[list[int]], cols: int, d: int) -> None:
                 break
 
 
-def _unit_pivots(m: Matrix, vec: Sequence[int] | None) -> tuple[int, list[list[int]], int]:
+def _unit_pivots(
+    m: Matrix, vec: Sequence[int] | None
+) -> tuple[list[int], list[list[int]], int]:
     """Take ±1 pivots of m in ``_unit_pivot_order``; return what is left.
 
     As p^-1 = p, exact row operations clear p's column, and column
@@ -360,11 +362,11 @@ def _unit_pivots(m: Matrix, vec: Sequence[int] | None) -> tuple[int, list[list[i
     a unit to the raw diagonal and drops out.  The ±1 entries this creates
     are pushed as they appear.
 
-    Returns (units, rest, rest_cols): the number of pivots taken, the rows
-    of the Schur complement left, each with its passenger (the matching
-    coordinate of u*vec) appended when vec is given, and their column
-    count.  Input where no pivot could pass (see ``_pivot_rows``) is
-    returned whole as dense rows.
+    Returns (pivots, rest, rest_cols): one entry per pivot taken, its row's
+    passenger (the matching coordinate of u*vec, 0 when vec is not given),
+    the rows of the Schur complement left, each with its passenger appended
+    when vec is given, and their column count.  Input where no pivot could
+    pass (see ``_pivot_rows``) is returned whole as dense rows.
     """
     cols = m.cols
     sparse, dense = _pivot_rows(m)
@@ -372,7 +374,7 @@ def _unit_pivots(m: Matrix, vec: Sequence[int] | None) -> tuple[int, list[list[i
         if vec is not None:
             for row, x in zip(dense, vec):
                 row.append(x)
-        return 0, dense, cols
+        return [], dense, cols
 
     support = _supports(sparse, cols)
     w = list(vec) if vec is not None else None
@@ -399,13 +401,16 @@ def _unit_pivots(m: Matrix, vec: Sequence[int] | None) -> tuple[int, list[list[i
                     heappush(heap, ((len(rk) - 1) * (len(support[c]) - 1), k, c))
     keep = [j for j in range(cols) if support[j] is not None]
     rest = []
+    pivots = []
     for i, row in enumerate(sparse):
         if row is not None:
             line = [row.get(j, 0) for j in keep]
             if w is not None:
                 line.append(w[i])
             rest.append(line)
-    return cols - len(keep), rest, len(keep)
+        else:
+            pivots.append(0 if w is None else w[i])
+    return pivots, rest, len(keep)
 
 
 def _supports(rows: list[dict[int, int]], cols: int) -> list[set[int] | None]:
@@ -522,23 +527,39 @@ def _too_dense(row_counts: Iterable[int], col_counts: Iterable[int], rows: int, 
 def _invariant_factors(diag: Sequence[int]) -> tuple[int, ...]:
     """Smith diagonal of a diagonal matrix: units first, then the chain, zeros last.
 
-    Z/a + Z/b is isomorphic to Z/gcd(a, b) + Z/lcm(a, b), so pairwise
-    (gcd, lcm) passes over the non-unit absolute values leave each entry
-    dividing the next.
+    Z/a + Z/b is isomorphic to Z/gcd(a, b) + Z/lcm(a, b).  The non-unit
+    absolute values go into the chain in ascending order: one equal to the
+    top entry or a multiple of it goes on top at no cost, and any other is
+    inserted top down (``_insert_into_chain``).
     """
-    units = 0
-    rest = []
-    for d in diag:
-        d = abs(d)
-        if d == 1:
-            units += 1
-        elif d:
-            rest.append(d)
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            g = gcd(rest[i], rest[j])
-            rest[i], rest[j] = g, rest[i] // g * rest[j]
-    return (1,) * units + tuple(rest) + (0,) * (len(diag) - units - len(rest))
+    chain: list[int] = []  # ascending, each entry dividing the next
+    for x in sorted([d for d in map(abs, diag) if d > 1]):
+        if not chain or x % chain[-1] == 0:
+            chain.append(x)
+        else:
+            _insert_into_chain(chain, x)
+    zeros = diag.count(0)
+    return (1,) * (len(diag) - zeros - len(chain)) + tuple(chain) + (0,) * zeros
+
+
+def _insert_into_chain(chain: list[int], x: int) -> None:
+    """Insert Z/x into the chain, top down: the entry c and x become
+    lcm(c, x) in c's place, and gcd(c, x) goes on down.
+
+    Below the top entry of a run of equal values the carried value divides
+    them and changes nothing, so the pass jumps to the next run: one gcd
+    and one bisection per run, and repeated values cost nothing extra.
+    """
+    i = len(chain) - 1
+    while i >= 0 and x > 1:
+        c = chain[i]
+        g = gcd(c, x)
+        if g != x:
+            chain[i] = c // g * x
+        x = g
+        i = bisect_left(chain, c, 0, i) - 1
+    if x > 1:
+        chain.insert(0, x)
 
 
 def cokernel_with_class(
@@ -560,10 +581,14 @@ def cokernel_with_class(
     is read, not the invariant factors.  A zero s_i or surplus row against
     a nonzero coordinate makes the order infinite.
 
-    ``_unit_pivots`` first takes ±1 pivots from sparse rows, each adding a
-    unit to the raw diagonal, and ``_diagonalize`` reduces the Schur
-    complement left; a unit s_i divides every coordinate, so only the
-    remainder's rows bear on the order.
+    The content c of m (``_content``) is divided out first, so that an
+    m with no ±1 entry of its own, such as I - A^t of a cyclic spec whose f
+    has content c, still has ±1 pivots and stays sparse; every raw entry of
+    m/c is then multiplied by c.  ``_unit_pivots`` takes ±1 pivots from
+    sparse rows, each adding c to the raw diagonal, and ``_diagonalize``
+    reduces the Schur complement left.  With c = 1 a unit s_i divides every
+    coordinate, so only the remainder's rows bear on the order; with c > 1
+    the pivot rows' coordinates count too.
 
     With a ``modulus`` D >= 1, ``_diagonalize_mod`` reduces the remainder
     over Z/D instead, with raw entries gcd(a[i][i], D) and D for a surplus
@@ -579,18 +604,24 @@ def cokernel_with_class(
         raise ValueError("vector length must equal rows")
     if modulus is not None and modulus < 1:
         raise ValueError("modulus must be positive")
-    units, a, cols = _unit_pivots(m, vec)
+    c = _content(m)
+    pivots, a, cols = _unit_pivots(_divided(m, c) if c > 1 else m, vec)
     if modulus is None:
         _diagonalize(a, cols)
-        raw = [a[i][i] for i in range(min(len(a), cols))]
+        raw = [c * a[i][i] for i in range(min(len(a), cols))]
+        unit = c
     else:
         _diagonalize_mod(a, cols, modulus)
-        raw = [gcd(a[i][i], modulus) if i < cols else modulus for i in range(len(a))]
-    diag = _invariant_factors([1] * units + raw)
+        raw = [gcd(c * a[i][i], modulus) if i < cols else modulus for i in range(len(a))]
+        unit = gcd(c, modulus)
+    diag = _invariant_factors([unit] * len(pivots) + raw)
     group = FinAbGroup.from_invariants(diag, free_rank=m.rows - len(diag))
     if vec is None:
         return diag, group, None
     order = 1
+    if unit > 1:
+        for w in pivots:
+            order = lcm(order, unit // gcd(unit, w))
     for i, row in enumerate(a):
         w = row[-1]
         s = raw[i] if i < len(raw) else 0
@@ -600,6 +631,26 @@ def cokernel_with_class(
         else:
             order = lcm(order, s // gcd(s, w))  # lcm drops the sign of s
     return diag, group, order
+
+
+def _content(m: Matrix) -> int:
+    """The gcd of m's entries, 1 for a zero m; sparse rows are read until it reaches 1."""
+    if isinstance(m, IntMatrix):
+        return gcd(*m.entries) or 1
+    g = 0
+    for row in m.row_maps:
+        g = gcd(g, *row.values())
+        if g == 1:
+            break
+    return g or 1
+
+
+def _divided(m: Matrix, c: int) -> Matrix:
+    """m / c, in m's form, for a c that divides every entry."""
+    if isinstance(m, SparseIntMatrix):
+        maps = tuple({j: x // c for j, x in row.items()} for row in m.row_maps)
+        return SparseIntMatrix(m.rows, m.cols, maps)
+    return IntMatrix(m.rows, m.cols, tuple(x // c for x in m.entries))
 
 
 def cokernel(m: Matrix) -> FinAbGroup:

@@ -37,6 +37,16 @@ def poly(*coeffs):
     return IntPolynomial.of(coeffs)
 
 
+def _admissible_ends(h) -> bool:
+    """Whether every prime p of both ends of h leaves one term of h mod p, by trial division."""
+    common = gcd(h[0], h[-1])
+    return all(
+        sum(c % p != 0 for c in h) == 1
+        for p in range(2, common + 1)
+        if common % p == 0 and all(p % q for q in range(2, p))
+    )
+
+
 def arc_families(n_max: int = 40):
     """Specs whose shortest arc is not [s_1, s_k]: {1, n - 1} and {0, 1, n - 1},
     with w_0 = 1 among them, for 3 <= n <= n_max."""
@@ -170,26 +180,29 @@ class TestCayleyDet:
             for weights in itertools.product(range(1, 4 if size < 3 else 3), repeat=size)
         )
         # oriented_arc's (sign, h) must give the same product, for both kinds
-        # of arc, ties ({1, n - 1} at weights (1, 1) and (2, 2)) included.  A
-        # unit-end arc exists exactly when some coefficient of f is +-1, as
-        # when 0 is not in S; without one h is empty.  circulant_det ends in
-        # the same resultant as cayley_det, so up to n = 12 the matrix det
-        # (sparse pivots, then Bareiss) is a second expected value.
+        # of arc, ties ({1, n - 1} at weights (1, 1) and (2, 2)) included.
+        # With |S| <= 3 an admissible arc exists exactly when f has content
+        # 1: with 0 in S f has at most three terms, so a prime of both ends
+        # leaves the third alone, and with 0 not in S an end next to the
+        # constant term 1 is a unit.  Without one h is empty.  circulant_det
+        # ends in the same resultant as cayley_det, so up to n = 12 the
+        # matrix det (sparse pivots, then Bareiss) is a second expected value.
         count = 0
         for spec in itertools.chain(small, arc_families()):
             want = circulant_det(cayley_circulant(spec))
             assert cayley_det(spec) == want, (spec.n, spec.gens, spec.weights)
             if spec.n <= 12:
                 assert det(circulant_matrix(cayley_circulant(spec))) == want, spec
-            for unit_end in (False, True):
-                sign, h = oriented_arc(spec, unit_end)
-                if unit_end:
-                    assert bool(h) == (1 in map(abs, cayley_circulant(spec).first_row)), spec
+            for admissible in (False, True):
+                sign, h = oriented_arc(spec, admissible)
+                if admissible:
+                    assert bool(h) == (gcd(*cayley_circulant(spec).first_row) == 1), spec
                     if not h:
                         continue
+                    assert _admissible_ends(h), (spec.n, spec.gens, spec.weights)
                 product = resultant(x_pow_minus_one(spec.n), IntPolynomial.of(h))
-                assert sign * product == want, (spec.n, spec.gens, spec.weights, unit_end)
-                assert not h or abs(h[-1]) <= abs(h[0]) and (abs(h[-1]) == 1 or not unit_end)
+                assert sign * product == want, (spec.n, spec.gens, spec.weights, admissible)
+                assert not h or abs(h[-1]) <= abs(h[0])
             count += 1
         assert count == 8528 + 6 * 38
 
@@ -223,17 +236,43 @@ class TestCayleyDet:
     @pytest.mark.parametrize(
         "n, gens, weights, length",
         [
-            (7, (0, 1), (3, 2), 1),  # f = -2 - 2x
-            (50, (0, 3, 5), (1, 2, 3), 2),  # f = -2x^3 - 3x^5: w_0 = 1 clears the constant
+            (7, (0, 1), (3, 2), 1),  # f = -2 - 2x: content 2, no admissible arc
+            (50, (0, 3, 5), (1, 2, 3), 2),  # f = -2x^3 - 3x^5: coprime ends, admissible
         ],
     )
     def test_no_unit_end_arc(self, n, gens, weights, length):
+        """No coefficient of f is +-1; the arc is admissible exactly when its
+        ends share no prime that leaves two terms of f, as content > 1 does."""
         spec = CayleySpec.cyclic(n, gens, weights)
-        assert weight_arc(spec, unit_end=True) == (0, [])
-        assert oriented_arc(spec, unit_end=True) == (1, [])
+        f = cayley_circulant(spec).first_row
+        assert 1 not in map(abs, f)
+        if gcd(*f) > 1:
+            assert weight_arc(spec, admissible=True) == (0, [])
+            assert oriented_arc(spec, admissible=True) == (1, [])
+        else:
+            assert weight_arc(spec, admissible=True) == weight_arc(spec)
+            assert len(oriented_arc(spec, admissible=True)[1]) - 1 == length
         # An arc with any ends still exists, and cayley_det reads it.
         assert len(weight_arc(spec)[1]) - 1 == length
         assert cayley_det(spec) == circulant_det(cayley_circulant(spec))
+
+    @pytest.mark.parametrize(
+        "n, gens, weights, start, length",
+        [
+            # f = -2 - x - x^2 - 2x^3: the wrap gap's ends share 2, which
+            # leaves x + x^2 mod 2, so the arc [1, 3] around 0 is taken.
+            (30, (0, 1, 2, 3), (3, 1, 1, 2), 1, 29),
+            # f = 1 - 2x^4 - 2x^6 - 2x^11 and f = 1 - x^4 - 2x^6 - 2x^11: the
+            # gap (6, 11) has ends -2 and -2, admissible when 2 leaves one term.
+            (12, (4, 6, 11), (2, 2, 2), 11, 7),
+            (12, (4, 6, 11), (1, 2, 2), 4, 8),
+        ],
+    )
+    def test_common_end_prime_needs_a_single_term(self, n, gens, weights, start, length):
+        spec = CayleySpec.cyclic(n, gens, weights)
+        arc_start, g = weight_arc(spec, admissible=True)
+        assert (arc_start, len(g) - 1) == (start, length)
+        assert _admissible_ends(g)
 
     @pytest.mark.parametrize("n", [10**4, 10**4 + 1])
     def test_loop_plus_step_closed_form(self, n):

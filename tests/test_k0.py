@@ -73,9 +73,15 @@ class TestCompanionMatrix:
         for h, n in _window_cases():
             cases.append((h, _multiplication_by_x(h), n))
         for h, t, n in cases:
-            size = h.degree()
-            expected = [sum(mat_pow(t, i).at(j, size - 1) for i in range(n)) for j in range(size)]
-            assert _companion_presentation(h, n)[1] == expected, (h, n)
+            size, b = h.degree(), h.coeffs[-1]
+            _, g, scale = _companion_presentation(h, n)
+            # t is b T, so b^(n - 1) sum T^i e_L = sum b^(n - 1 - i) t^i e_L;
+            # the presentation's class is b^(E - 1) sum T^i e_L.
+            expected = [
+                sum(b ** (n - 1 - i) * mat_pow(t, i).at(j, size - 1) for i in range(n))
+                for j in range(size)
+            ]
+            assert [b ** (n - 1) * x for x in g] == [b ** (scale - 1) * x for x in expected], (h, n)
 
     def test_ring_power_matches_mat_pow(self):
         # P from Z[x]/(h) against T^n - I by matrix powers, with steps up to
@@ -93,13 +99,20 @@ class TestCompanionMatrix:
                         count += 1
         assert count > 4000
         for h, n in _window_cases():
-            expected = mat_sub(mat_pow(_multiplication_by_x(h), n), identity_matrix(h.degree()))
-            assert _companion_presentation(h, n)[0] == expected, (h, n)
+            # P' = b^E (T^n - I), so b^n P' = b^E ((b T)^n - b^n I).
+            b, size = h.coeffs[-1], h.degree()
+            p, _, scale = _companion_presentation(h, n)
+            scaled_identity = IntMatrix.from_rows(
+                [[b**n * (i == j) for j in range(size)] for i in range(size)]
+            )
+            expected = mat_sub(mat_pow(_multiplication_by_x(h), n), scaled_identity)
+            assert [b**n * x for x in p.entries] == [b**scale * x for x in expected.entries], (h, n)
 
 
 # Window h's: a reversed and an unreversed arc, constant terms -2 and 2,
-# the twin's x^2 - x + 1, h(1) = 0 where W = 1, and n = 2^k - 1, every bit
-# of n set.
+# a lead of 2 (the arc of C_12({4, 6, 11}, (2, 2, 2)), whose ends -2 and -2
+# leave 1 mod 2), the twin's x^2 - x + 1, h(1) = 0 where W = 1, and
+# n = 2^k - 1, every bit of n set.
 WINDOW_SPECS = [
     (10, (2, 7), (1, 1)),
     (12, (4, 6, 11), (2, 2, 2)),
@@ -115,10 +128,11 @@ def _window_cases():
 
 
 def _multiplication_by_x(h):
-    """T_h, multiplication by x on Z[x]/(h) in the basis 1, x, ..., x^(L - 1)."""
-    size = h.degree()
+    """b T_h, for T_h multiplication by x on Z[1/b][x]/(h) in the basis 1, x,
+    ..., x^(L - 1) and b = lc(h): integral, and T_h itself when h is monic."""
+    size, b = h.degree(), h.coeffs[-1]
     return IntMatrix.from_rows(
-        [[int(j == i - 1) for j in range(size - 1)] + [-h.coeffs[i]] for i in range(size)]
+        [[b * (j == i - 1) for j in range(size - 1)] + [-h.coeffs[i]] for i in range(size)]
     )
 
 
@@ -417,6 +431,38 @@ class TestReportWitnesses:
             assert analyze(spec) == report
         assert calls == [1, 4, -6]
 
+    def test_two_sided_arc_moduli_are_witnessed(self, monkeypatch):
+        """C_30({0, 1, 8}, (3, 3, 3)) has f = -2 - 3x - 3x^8 and the arc
+        -3 ... -2 with lead b = 2: the b side reduces modulo the odd part of
+        |det|, the reversed side modulo its 2-part.  Half the true resultant
+        shrinks the 2-part and breaks |K0| = |det|, with det by Bareiss."""
+        spec = CayleySpec.cyclic(30, [0, 1, 8], [3, 3, 3])
+        report = analyze(spec)
+        assert report.method == "full_snf" and report.identity_order == 8
+        assert report.k0 == FinAbGroup((31, 31, 63420044578096))
+        assert abs(report.det_value) == 31**2 * 63420044578096
+        real_reduce, moduli = k0lab.k0.cokernel_with_class, []
+
+        def recording(m, vec=None, *, modulus=None):
+            moduli.append(modulus)
+            return real_reduce(m, vec, modulus=modulus)
+
+        monkeypatch.setattr(k0lab.k0, "cokernel_with_class", recording)
+        assert analyze(spec) == report
+        odd, two = moduli
+        assert odd % 2 and two & (two - 1) == 0 and odd * two == abs(report.det_value)
+        real = k0lab.circulant._resultant
+        monkeypatch.setattr(k0lab.circulant, "_resultant", lambda a, b: real(a, b) // 2)
+        with pytest.raises(
+            InternalCheckError, match=r"\|K0\| = 30473331419775128 but \|det\| = 60946662839550256"
+        ):
+            analyze(spec)
+        for factor in (4, -6):
+            monkeypatch.setattr(
+                k0lab.circulant, "_resultant", lambda a, b, f=factor: real(a, b) * f // 2
+            )
+            assert analyze(spec) == report
+
 
 class TestReportJson:
     SCHEMA_KEYS = {
@@ -664,14 +710,16 @@ class TestCompanionAgreesWithFull:
         assert analyze(spec, method="both").identity_order == 2
         presentation = k0lab.k0._companion_presentation
         monkeypatch.setattr(
-            k0lab.k0, "_companion_presentation", lambda h, n: (presentation(h, n)[0], [0])
+            k0lab.k0,
+            "_companion_presentation",
+            lambda h, n: (presentation(h, n)[0], [0], presentation(h, n)[2]),
         )
         with pytest.raises(InternalCheckError, match=r"1 vs 2 for n=5 S=\(1,\) w=\(3,\)$"):
             analyze(spec, method="both")
 
 
 class TestShortestWindow:
-    """The companion side reduces the shortest arc of {0} and S with a unit end."""
+    """The companion side reduces the shortest arc of {0} and S with admissible ends."""
 
     @pytest.mark.parametrize(
         "n, gens, weights, start, length, flipped, h",
@@ -683,9 +731,13 @@ class TestShortestWindow:
             (10, (8, 9), (1, 1), 8, 2, True, (-1, 1, 1)),
             # {2, n - 3}: drop the gap (2, n - 3).
             (10, (2, 7), (1, 1), 7, 5, True, (1, 0, -1, 0, 0, 1)),
-            # The largest gap, (6, 11), has weight 2 at both ends and cannot be
-            # dropped; the next, (0, 4), has its unit at the lower end: no flip.
-            (12, (4, 6, 11), (2, 2, 2), 4, 8, False, (-2, 0, -2, 0, 0, 0, 0, -2, 1)),
+            # The largest gap, (6, 11), has weight 2 at both ends and 2 leaves
+            # 1 - 3x^4 two terms, so it cannot be dropped; the next, (0, 4),
+            # has its unit at the lower end: no flip.
+            (12, (4, 6, 11), (3, 2, 2), 4, 8, False, (-3, 0, -2, 0, 0, 0, 0, -2, 1)),
+            # With weights (2, 2, 2), 2 leaves the one term 1: the gap (6, 11)
+            # is dropped and the window has lead 2.
+            (12, (4, 6, 11), (2, 2, 2), 11, 7, True, (2, 0, 2, 0, 0, 0, -1, 2)),
             # No arc beats [0, s_k]: today's h, reversed from a = 0.
             (6, (2, 3), (1, 1), 0, 3, True, (-1, -1, 0, 1)),
             (40, (3, 5, 8), (1, 1, 1), 0, 8, True, (-1, 0, 0, -1, 0, -1, 0, 0, 1)),
@@ -693,12 +745,12 @@ class TestShortestWindow:
     )
     def test_pins_the_window(self, n, gens, weights, start, length, flipped, h):
         spec = CayleySpec.cyclic(n, gens, weights)
-        arc_start, g = k0lab.circulant.weight_arc(spec, unit_end=True)
+        arc_start, g = k0lab.circulant.weight_arc(spec, admissible=True)
         window = _shortest_window(spec)[0]
         assert (arc_start, len(g) - 1) == (start, length)
         assert window == IntPolynomial.of(h)
-        # h is c g, or c g reversed, c = +-1 the end that becomes the leading one.
-        c = g[0] if flipped else g[-1]
+        # h is c g, or c g reversed, c = +-1 the sign of the end that leads.
+        c = 1 if (g[0] if flipped else g[-1]) > 0 else -1
         assert window.coeffs == tuple(c * a for a in (g[::-1] if flipped else g))
         companion = analyze(spec, method="companion")
         assert companion.det_value == k0lab.circulant.cayley_det(spec)
@@ -710,7 +762,7 @@ class TestShortestWindow:
         # In each, a gap with a unit end is as long as the wrap gap (s_k, 0).
         for n, gens, weights in [(2, (1,), (2,)), (5, (1, 3), (1, 1)), (8, (2, 5), (1, 2))]:
             spec = CayleySpec.cyclic(n, gens, weights)
-            start, g = k0lab.circulant.weight_arc(spec, unit_end=True)
+            start, g = k0lab.circulant.weight_arc(spec, admissible=True)
             window = _shortest_window(spec)[0]
             assert start == 0 and window.coeffs == tuple(g[::-1])
             assert window == _char_poly(gens, weights)
@@ -757,10 +809,10 @@ class TestShortestWindow:
 
 
 class TestZeroInSWindow:
-    """A cyclic spec with 0 in S whose f has a +-1 coefficient and whose
-    shortest unit-end window has 1 <= L <= s_k: past the cross-check limit
-    ``auto`` takes K0, the order of [1] and det from the window and states
-    the full_snf report of the n x n matrix, byte for byte, with no graph."""
+    """A cyclic spec with 0 in S, W >= 2 and an admissible arc with 1 <= L <=
+    s_k: past the cross-check limit ``auto`` takes K0, the order of [1] and
+    det from the arc's one or two sides and states the full_snf report of
+    the n x n matrix, byte for byte, with no graph."""
 
     @staticmethod
     def _window_degrees(monkeypatch):
@@ -776,10 +828,14 @@ class TestZeroInSWindow:
 
     def test_auto_matches_full_on_every_small_spec(self, monkeypatch):
         # Every generating S of Z_n with 0 in S, n <= 12, |S| <= 3, weights
-        # <= 3, W < 2 and specs with no window included.
+        # <= 3, W < 2 and specs with no admissible arc included.  On a
+        # nonsingular spec the order of [1] is exactly W - 1: f is not a
+        # zero divisor of R = Z[x]/(x^n - 1), so d N = f y gives (x - 1) y =
+        # 0, y = a N and d = a |f(1)|.  That pins the product of the two
+        # sides' orders, which "divides W - 1" cannot.
         monkeypatch.setattr(k0lab.k0, "CROSSCHECK_LIMIT", 0)
         degrees = self._window_degrees(monkeypatch)
-        count = 0
+        count = arcs = two_sided = 0
         for n in range(1, 13):
             for size in (1, 2, 3):
                 for rest in itertools.combinations(range(1, n), size - 1):
@@ -788,12 +844,18 @@ class TestZeroInSWindow:
                         continue
                     for weights in itertools.product((1, 2, 3), repeat=size):
                         spec = CayleySpec.cyclic(n, gens, weights)
+                        calls = len(degrees)
                         auto, full = analyze(spec), analyze(spec, method="full")
                         assert auto.to_json() == full.to_json(), (n, gens, weights)
                         assert auto.render_text() == full.render_text(), (n, gens, weights)
+                        if auto.det_value and auto.pis:
+                            assert auto.identity_order == sum(weights) - 1, (n, gens, weights)
+                        arcs += len(degrees) > calls
+                        two_sided += len(degrees) == calls + 2
                         count += 1
         assert count == 5700
-        assert len(degrees) == 3788 and 1 <= min(degrees) and max(degrees) <= 11
+        assert (arcs, two_sided) == (4929, 392)
+        assert 1 <= min(degrees) and max(degrees) <= 11
 
     @pytest.mark.parametrize(
         "n, gens, weights, length",
@@ -804,6 +866,13 @@ class TestZeroInSWindow:
             (40, (0, 1), (2, 1), 1),  # f = -1 - x: singular, K0 has a free summand
             (30, (0, 1, 4), (1, 2, 1), 3),
             (3000, (0, 1, 5), (2, 1, 3), 5),
+            # No coefficient +-1: coprime ends, or ends 2 and 2 around -1.
+            (40, (0, 1), (3, 3), 1),  # f = -2 - 3x
+            (3000, (0, 1), (3, 3), 1),
+            (50, (0, 3, 5), (1, 2, 3), 2),  # f = -2x^3 - 3x^5
+            (30, (0, 1, 8), (3, 3, 3), 8),  # f = -2 - 3x - 3x^8: both sides
+            (41, (0, 2, 3), (3, 1, 2), 3),  # f = -2 - x^2 - 2x^3: one side, b = 2 = a0
+            (123, (0, 1, 6), (3, 1, 3), 6),  # the unit-end window had L = 118
         ],
     )
     def test_auto_past_limit_builds_no_graph(self, monkeypatch, n, gens, weights, length):
@@ -818,17 +887,18 @@ class TestZeroInSWindow:
         monkeypatch.setattr(DirectedMultigraph, "i_minus_at", forbidden)
         degrees = self._window_degrees(monkeypatch)
         report = analyze(spec)
-        assert degrees == [length]
+        assert degrees in ([length], [length, length])
         assert report.method == "full_snf" and len(report.snf_diag) == n
         assert (report.to_json(), report.render_text()) == (full.to_json(), full.render_text())
 
     @pytest.mark.parametrize(
         "n, gens, weights",
         [
-            (40, (0, 1), (3, 3)),  # f = -2 - 3x: no +-1 coefficient
-            (50, (0, 3, 5), (1, 2, 3)),  # f = -2x^3 - 3x^5
-            (123, (0, 1, 6), (3, 1, 3)),  # L = 118 > s_k = 6
-            (20, (0, 2, 3), (1, 1, 2)),  # a window, but n <= CROSSCHECK_LIMIT
+            (40, (0, 1), (3, 2)),  # f = -2 - 2x: content 2, no admissible arc
+            # f = -2 - x - x^2 - 2x^3: 2 leaves two terms, so L = 49 > s_k = 3
+            (50, (0, 1, 2, 3), (3, 1, 1, 2)),
+            (123, (0, 1), (1, 1)),  # f = -x: L = 0
+            (20, (0, 2, 3), (1, 1, 2)),  # an arc, but n <= CROSSCHECK_LIMIT
         ],
     )
     def test_other_zero_specs_take_the_full_path(self, monkeypatch, n, gens, weights):

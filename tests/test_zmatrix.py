@@ -141,6 +141,30 @@ class TestInvariantFactors:
             entries = [rng.choice([0, 1, -1, 2, -3, 4, 6, -9, 10, 12, 15, -25]) for _ in range(n)]
             assert _invariant_factors(entries) == _chain_by_minors(entries), entries
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-40, 40), min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), max_size=40)
+        )
+    )
+    @example([2] * 128)
+    @example([2] * 20 + [3] * 20 + [4] * 5)
+    @example([6, 4, 6, 9, 4, 6, 0, -1, 10])
+    def test_matches_the_pairwise_rule_with_repeats(self, entries):
+        assert _invariant_factors(entries) == _pairwise_chain(entries), entries
+
+
+def _pairwise_chain(entries) -> tuple[int, ...]:
+    """The chain by (gcd, lcm) over every pair of non-unit absolute values, O(k^2) gcds."""
+    rest = [abs(d) for d in entries if abs(d) > 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    zeros = list(entries).count(0)
+    ones = len(entries) - zeros - len(rest)
+    return (1,) * ones + tuple(rest) + (0,) * zeros
+
 
 class TestDet:
     def test_c6_23(self):
@@ -609,7 +633,7 @@ def _diagonalize_corpus() -> list[tuple[IntMatrix, list[int]]]:
     out = [(m, [(-1) ** i * (i + 1) for i in range(m.rows)]) for m in mats]
     for n, gens in [(30, [2, 3]), (41, [1, 5]), (37, [1, 2, 7]), (36, [1, 3, 4])]:
         spec = CayleySpec.cyclic(n, gens)
-        p, g = _companion_presentation(companion_matrix(spec).char_poly, n)
+        p, g, _ = _companion_presentation(companion_matrix(spec).char_poly, n)
         out.append((p, g))
     return out
 
@@ -697,7 +721,7 @@ class TestDiagonalize:
     def test_companion_at_ten_thousand(self):
         """P = T^n - I for S = {2, 3} at n = 10^4 has 4,000-bit entries."""
         spec = CayleySpec.cyclic(10**4, [2, 3])
-        p, g = _companion_presentation(companion_matrix(spec).char_poly, spec.n)
+        p, g, _ = _companion_presentation(companion_matrix(spec).char_poly, spec.n)
         diag, group, order = cokernel_with_class(p, g)
         assert prod(diag) == group.order() == abs(cayley_det(spec))
         assert order == 1
@@ -734,7 +758,7 @@ def _modulus_corpus() -> list[tuple[IntMatrix, list[int]]]:
     out = [(m, [(-1) ** i * (i + 2) for i in range(m.rows)]) for m in mats]
     for n, gens in [(30, [2, 3]), (41, [1, 5]), (37, [1, 2, 7]), (36, [1, 3, 5]), (10**4, [2, 3])]:
         spec = CayleySpec.cyclic(n, gens)
-        out.append(_companion_presentation(companion_matrix(spec).char_poly, n))
+        out.append(_companion_presentation(companion_matrix(spec).char_poly, n)[:2])
     return out
 
 
@@ -808,6 +832,57 @@ class TestSparseInput:
             assert det(sparse) == det(dense), adj
             ones = [1] * n
             assert cokernel_with_class(sparse, ones) == cokernel_with_class(dense, ones), adj
+
+
+class TestContent:
+    """The Smith core divides the content c of m out, so the ±1 phase runs
+    on m / c, and reads the pivot rows' class coordinates for the order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_dense_with_class(), st.integers(2, 6))
+    def test_scaled_matrix_against_the_whole_reduction(self, case, c):
+        m, vec = case
+        scaled = IntMatrix(m.rows, m.cols, tuple(c * x for x in m.entries))
+        assert cokernel_with_class(scaled, vec) == _whole_matrix_reference(scaled, vec)
+
+    @pytest.mark.parametrize(
+        "gens, weights",
+        [
+            ((0, 1), (1, 2)),  # f = -2x: K0 = (Z/2)^n
+            ((0, 1), (3, 2)),  # f = -2 - 2x: singular at even n
+            ((0, 2, 3), (1, 2, 4)),  # f = -2x^2 - 4x^3
+            ((0, 1, 2), (4, 3, 3)),  # f = -3 - 3x - 3x^2
+        ],
+    )
+    def test_content_specs_against_oracle(self, gens, weights):
+        """I - A^t of a cyclic spec whose f has content > 1: determinantal
+        divisors for the diagonal, lattice membership for the order of [1]."""
+        for n in range(4, 8):
+            if gcd(n, *gens) != 1:
+                continue
+            m = build_cayley(CayleySpec.cyclic(n, gens, weights)).i_minus_at()
+            dense = IntMatrix.from_rows(m.to_lists())
+            expected = _diag_by_minors(dense)
+            diag, group, order = cokernel_with_class(m, [1] * n)
+            assert diag == expected, (n, gens, weights)
+            assert order == _order_by_membership(dense, [1] * n, expected), (n, gens, weights)
+
+    def test_large_content_spec_stays_sparse(self, monkeypatch):
+        """C_3000({0, 1}, (1, 2)): I - A^t = -2 times a permutation, which
+        without the content went to _diagonalize whole, n^2 cells."""
+        from k0lab.k0 import analyze
+
+        sizes = []
+        real = k0lab.zmatrix._diagonalize
+
+        def recording(a, cols):
+            sizes.append(len(a))
+            return real(a, cols)
+
+        monkeypatch.setattr(k0lab.zmatrix, "_diagonalize", recording)
+        report = analyze(CayleySpec.cyclic(3000, [0, 1], [1, 2]), method="full")
+        assert report.k0 == FinAbGroup((2,) * 3000) and report.identity_order == 2
+        assert abs(report.det_value) == 2**3000 and max(sizes) <= 1
 
 
 class TestRank:
