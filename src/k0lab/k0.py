@@ -433,7 +433,7 @@ def analyze(
         n = graph.vertex_count
 
     companion_ok = spec is not None and spec.is_cyclic and 0 not in spec.gens and pis
-    window = twin  # a cyclic spec whose shortest window gives a full_snf report
+    window = twin  # a cyclic spec whose shortest admissible arc gives a full_snf report
     if method == "auto":
         if companion_ok:
             method = "both" if n <= CROSSCHECK_LIMIT else "companion_reduction"
@@ -456,8 +456,10 @@ def analyze(
         h, window_sign = _shortest_window(cyclic)
         # The twin's det is cayley_det's; every other det is Bareiss on P',
         # so a modulus by the resultant route keeps |K0| = |det| a witness.
-        k0_result, order, p, scale = _arc_invariants(h, cyclic.n, exact=method == "both" or twin)
-        # A window's report is the full_snf one of the n x n matrix.
+        k0_result, order, p, scale = _arc_invariants(
+            h, cyclic.n, exact=method == "both" or twin is not None
+        )
+        # Such an arc's report is the full_snf one of the n x n matrix.
         diag = _stated_diagonal(k0_result, n if window else max(spec.gens))
         if twin:
             det_value = circ.cayley_det(twin)

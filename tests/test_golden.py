@@ -5,7 +5,7 @@ One SHA-256 over the text and JSON that a fixed corpus of inputs produces:
 random multigraphs, seeded ``k0lab snf`` runs, and a few CLI runs.  A second
 digest covers ``auto`` on seeded cyclic specs with n 25-60, where it takes the
 companion path alone, or, when 0 is a generator, the full_snf report from the
-shortest window (a +-1 coefficient and L <= s_k) or from the full path.  A
+shortest admissible arc (1 <= L <= s_k) or from the full path.  A
 refactor that keeps every output byte keeps the digests; any change to a
 report, a label, an error message or an exit code moves it.  When an output
 is meant to change, recompute the digests on the old and new code and say

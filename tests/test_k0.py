@@ -643,6 +643,8 @@ class TestCompanionAgreesWithFull:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_companion_method_matches_full(self, n):
         # Every generating S of Z_n with 0 not in S, |S| <= 3, weights <= 3, W >= 2.
+        # On a nonsingular spec the order of [1] is exactly W - 1
+        # (TestZeroInSWindow.test_auto_matches_full_on_every_small_spec).
         fields = ("k0", "identity_order", "det_value", "det_sign", "classification")
         checked = 0
         for size in range(1, 4):
@@ -659,6 +661,8 @@ class TestCompanionAgreesWithFull:
                         assert getattr(companion, field) == getattr(full, field), (
                             field, n, gens, weights
                         )
+                    if full.det_value:
+                        assert full.identity_order == sum(weights) - 1, (n, gens, weights)
                     checked += 1
         assert checked > 0
 
@@ -735,12 +739,12 @@ class TestShortestWindow:
             # 1 - 3x^4 two terms, so it cannot be dropped; the next, (0, 4),
             # has its unit at the lower end: no flip.
             (12, (4, 6, 11), (3, 2, 2), 4, 8, False, (-3, 0, -2, 0, 0, 0, 0, -2, 1)),
-            # With weights (2, 2, 2), 2 leaves the one term 1: the gap (6, 11)
-            # is dropped and the window has lead 2.
-            (12, (4, 6, 11), (2, 2, 2), 11, 7, True, (2, 0, 2, 0, 0, 0, -1, 2)),
             # No arc beats [0, s_k]: today's h, reversed from a = 0.
             (6, (2, 3), (1, 1), 0, 3, True, (-1, -1, 0, 1)),
             (40, (3, 5, 8), (1, 1, 1), 0, 8, True, (-1, 0, 0, -1, 0, -1, 0, 0, 1)),
+            # With weights (2, 2, 2), 2 leaves the one term 1 of f: the gap
+            # (6, 11) is dropped and the window has lead 2.
+            (12, (4, 6, 11), (2, 2, 2), 11, 7, True, (2, 0, 2, 0, 0, 0, -1, 2)),
         ],
     )
     def test_pins_the_window(self, n, gens, weights, start, length, flipped, h):
