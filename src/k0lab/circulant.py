@@ -422,10 +422,12 @@ def weight_arc(spec, admissible: bool = False) -> tuple[int, list[int]]:
         values = [coeffs[q] for q in points]
         if gcd(*values) != 1:
             return 0, []
+        single = _single_term_primes(values)
     gap, start = 0, None
     for low, high in zip([points[-1] - n, *points], points):  # the wrap gap first
         if high - low > gap and (
-            not admissible or _admissible_ends(coeffs[low % n], coeffs[high], values)
+            not admissible
+            or coprime_part(gcd(coeffs[low % n], coeffs[high]), single) == 1
         ):
             gap, start = high - low, high
     if start is None:  # admissible, and no gap has admissible ends
@@ -436,17 +438,15 @@ def weight_arc(spec, admissible: bool = False) -> tuple[int, list[int]]:
     return start, g
 
 
-def _admissible_ends(u: int, v: int, values: list[int]) -> bool:
-    """Whether every prime p of gcd(u, v) leaves exactly one of the nonzero
-    values, of gcd 1, nonzero mod p.
+def _single_term_primes(values: list[int]) -> int:
+    """A number whose primes are those p that leave exactly one of the
+    nonzero values, of gcd 1, nonzero mod p.
 
     p leaves only values[i] when it divides G_i, the gcd of all the others
-    (and then not values[i], as the values have gcd 1), so the primes of
-    the product of the G_i, from prefix and suffix gcds, are those p.
+    (and then not values[i], as the values have gcd 1), so the product of
+    the G_i, from prefix and suffix gcds, has exactly those primes.  Ends
+    u, v of a gap are admissible when gcd(u, v) has no prime outside it.
     """
-    common = gcd(u, v)
-    if common == 1:
-        return True
     prefix = [0]
     for x in values:
         prefix.append(gcd(prefix[-1], x))
@@ -454,7 +454,7 @@ def _admissible_ends(u: int, v: int, values: list[int]) -> bool:
     for i in range(len(values) - 1, -1, -1):
         single *= gcd(prefix[i], suffix) or 1
         suffix = gcd(suffix, values[i])
-    return coprime_part(common, single) == 1
+    return single
 
 
 def coprime_part(x: int, y: int) -> int:

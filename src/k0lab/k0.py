@@ -220,8 +220,8 @@ def _arc_invariants(
     when infinite.
 
     Unless ``exact``, each side reduces modulo its part of D = |det|, by
-    the resultant route; D = 0 reduces exactly.  An exact side divides the
-    other side's primes out of each invariant factor and of the order.
+    the resultant route; D = 0 reduces exactly.  Each side keeps only its
+    own primes in its invariant factors and its order.
     """
     b, a0 = h.coeffs[-1], abs(h.coeffs[0])
     p, g, scale = _companion_presentation(h, n)
@@ -234,21 +234,19 @@ def _arc_invariants(
     _, group, order = cokernel_with_class(p, g, modulus=b_free)
     if b == 1:  # a unit lead: this side is the whole answer
         return group, order, p, scale
-    torsion = group.torsion
+    # This side gives the primes prime to b.
+    torsion = [circ.coprime_part(t, b) for t in group.torsion]
+    order = order and circ.coprime_part(order, b)
     b_primary = d // b_free if d else None
-    if b_primary is None:  # exact: keep the primes prime to b
-        torsion = [circ.coprime_part(t, b) for t in torsion]
-        order = order and circ.coprime_part(order, b)
     # The reversed side, when a prime of b that a0 lacks can divide |K0|.
     if (b_primary or circ.coprime_part(b, a0)) > 1:
         c = 1 if h.coeffs[0] > 0 else -1
         reverse = circ.IntPolynomial(tuple(c * x for x in reversed(h.coeffs)))
         p_rev, g_rev, _ = _companion_presentation(reverse, n)
         _, other, other_order = cokernel_with_class(p_rev, g_rev, modulus=b_primary)
-        other_torsion = other.torsion
-        if b_primary is None:  # exact: keep the primes of b that a0 lacks
-            other_torsion = [_b_part(t, b, a0) for t in other_torsion]
-            other_order = other_order and _b_part(other_order, b, a0)
+        # It gives the primes of b that a0 lacks.
+        other_torsion = [_b_part(t, b, a0) for t in other.torsion]
+        other_order = other_order and _b_part(other_order, b, a0)
         # Coprime chains: the i-th largest factors multiply.
         torsion = [
             x * y

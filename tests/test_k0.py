@@ -880,6 +880,8 @@ class TestZeroInSWindow:
         ],
     )
     def test_auto_past_limit_builds_no_graph(self, monkeypatch, n, gens, weights, length):
+        # Both sides run only when b = 2 has a prime that a0 = 3 lacks and 2 | det.
+        sides = 2 if (n, gens) in {(30, (0, 1, 8)), (123, (0, 1, 6))} else 1
         spec = CayleySpec.cyclic(n, gens, weights)
         full = analyze(spec, method="full")
 
@@ -891,7 +893,7 @@ class TestZeroInSWindow:
         monkeypatch.setattr(DirectedMultigraph, "i_minus_at", forbidden)
         degrees = self._window_degrees(monkeypatch)
         report = analyze(spec)
-        assert degrees in ([length], [length, length])
+        assert degrees == [length] * sides
         assert report.method == "full_snf" and len(report.snf_diag) == n
         assert (report.to_json(), report.render_text()) == (full.to_json(), full.render_text())
 
