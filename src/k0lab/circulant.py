@@ -356,15 +356,19 @@ def cayley_det(spec) -> int:
     if not q:
         return 0
     # Res(h, q / b^e) = Res(h, q) / b^(ed): the b-exponent nets to n - deg q - ed.
-    value = _resultant(h, q)
-    k = n - (len(q) - 1) - e * d
-    if k >= 0:
-        value *= b**k
-    else:
-        value, rest = divmod(value, b**-k)
-        if rest:
-            raise InternalCheckError("resultant not divisible by the power of lc(h)")
+    value = _unscaled(_resultant(h, q), b, n - (len(q) - 1) - e * d)
     return sign * (-1) ** (n * d) * content**n * value
+
+
+def _unscaled(x: int, b: int, k: int) -> int:
+    """x b^k, exact when k < 0: the power of an arc's lead that its product
+    carries (``cayley_det``, and the companion side's det in ``k0``)."""
+    if k >= 0:
+        return x * b**k
+    x, rest = divmod(x, b**-k)
+    if rest:
+        raise InternalCheckError("a power of the arc's lead does not divide its product")
+    return x
 
 
 def oriented_arc(spec, admissible: bool = False) -> tuple[int, list[int]]:

@@ -27,15 +27,15 @@ F_p[x]/(x^n - 1), so K0 has no p-part.  When b = 1 the first side alone is
 the whole answer, as for every arc with a +-1 end.  No n x n graph or
 matrix is built on this path.
 
-det(I - A^t) = s (-1)^{nL} b^n det(P') / b^{EL}, s the arc's sign from
-``circulant.oriented_arc``, with det(P') by Bareiss.  Under
-"companion_reduction" D = |det| comes by a route that shares nothing with
-the reduction or with ``det``: b^(n - deg r - EL) |Res(h, r)|, r column 0
-of P'.  The b side reduces P' modulo the part of D prime to b, the
-reversed side modulo the rest, so entries stay below D and |K0| = |det|
-still checks the reduction.  When det = 0, and under "both", the sides
-reduce exactly and the primes that belong to the other side are divided
-out of each factor.
+Every arc report (``_arc_report``) takes det(I - A^t) = s (-1)^{nL} b^n
+det(P') / b^{EL}, s the arc's sign from ``circulant.oriented_arc``, with
+det(P') by Bareiss on the b side's P'.  Except under "both", D = |det|
+comes by a route that shares nothing with the reduction or with ``det``:
+b^(n - deg r - EL) |Res(h, r)|, r column 0 of P'.  The b side reduces P'
+modulo the part of D prime to b, the reversed side modulo the rest, so
+entries stay below D and |K0| = |det| still checks the reduction.  When
+det = 0, and under "both", the sides reduce exactly and the primes that
+belong to the other side are divided out of each factor.
 
 A cyclic spec with 0 in S goes the same way under "auto" past
 ``CROSSCHECK_LIMIT`` when W >= 2 and it has an admissible arc with 1 <= L
@@ -47,8 +47,9 @@ A generating {r^a, r^k s} of D_m with unit weights and m >= 3 goes the same
 way: Z[D_m] is free of rank 2 over Z[x]/(x^m - 1), and the image of
 I - A^t has a unit entry over that ring, so K0, the order of [1] and det
 are those of the cyclic twin C_m({1, m - 1}) (``_cyclic_twin``), whose
-shortest arc has L = 2 and unit ends.  The report is still that of the
-full 2m x 2m Smith form; no graph is built.
+shortest arc has L = 2 and unit ends.  The twin's arc report is one more
+"full_snf" one: reduced modulo the resultant-route D, det by Bareiss on
+its P', the diagonal stated at size 2m; no graph is built.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def _shortest_window(spec: CayleySpec) -> tuple[circ.IntPolynomial, int]:
     """(h, sign): the h of degree L that the companion side reduces, from
     the shortest admissible arc of a cyclic spec, with lc(h) > 0, and
     sign with det(I - A^t) = sign * b^n det(T^n - I), T the companion
-    matrix of h / b, b = lc(h).
+    matrix of h / b, b = lc(h); h is zero, and sign means nothing, when
+    the spec has no admissible arc.
 
     ``circulant.oriented_arc`` reads f along the arc, of length L, oriented
     so that the end of smaller magnitude leads, and gives the sign s of
@@ -102,7 +104,7 @@ def _shortest_window(spec: CayleySpec) -> tuple[circ.IntPolynomial, int]:
     """
     n = spec.n
     sign, g = circ.oriented_arc(spec, admissible=True)
-    c = 1 if g[-1] > 0 else -1
+    c = -1 if g and g[-1] < 0 else 1
     h = circ.IntPolynomial(tuple(c * a for a in g))
     return h, sign * (-1 if n * (len(g) - 1) % 2 else 1) * (c if n % 2 else 1)
 
@@ -202,38 +204,32 @@ def _companion_presentation(h: circ.IntPolynomial, n: int) -> tuple[IntMatrix, l
     return p, total, scale
 
 
-def _unscaled(x: int, b: int, k: int) -> int:
-    """x b^k, exact when k < 0."""
-    if k >= 0:
-        return x * b**k
-    x, rest = divmod(x, b**-k)
-    if rest:
-        raise InternalCheckError("a power of the arc's lead does not divide its product")
-    return x
-
-
-def _arc_invariants(
-    h: circ.IntPolynomial, n: int, exact: bool
-) -> tuple[FinAbGroup, int | None, IntMatrix, int]:
-    """(K0, order of [1], P', E) of the cyclic quotient Z[x]/(x^n - 1, h),
-    from the two sides of the arc h (module docstring); the order is None
-    when infinite.
+def _arc_report(spec: CayleySpec, exact: bool) -> tuple[FinAbGroup, int | None, int] | None:
+    """(K0, order of [1], det(I - A^t)) of a cyclic spec from the two sides
+    of its shortest admissible arc h (module docstring), the order None
+    when infinite; None when the spec has no such arc with 1 <= L <= s_k.
 
     Unless ``exact``, each side reduces modulo its part of D = |det|, by
     the resultant route; D = 0 reduces exactly.  Each side keeps only its
-    own primes in its invariant factors and its order.
+    own primes in its invariant factors and its order.  det is Bareiss on
+    the b side's P'.
     """
+    h, sign = _shortest_window(spec)
+    length, n = h.degree(), spec.n
+    if not 1 <= length <= max(spec.gens):
+        return None
     b, a0 = h.coeffs[-1], abs(h.coeffs[0])
     p, g, scale = _companion_presentation(h, n)
     d = 0
     if not exact:
         # |Res(h, r)| for r = b^E ((x^n - 1) mod h), column 0 of P'.
         r = circ.IntPolynomial.of([p.at(i, 0) for i in range(p.rows)])
-        d = _unscaled(abs(circ.resultant(h, r)), b, n - r.degree() - scale * h.degree())
+        d = circ._unscaled(abs(circ.resultant(h, r)), b, n - r.degree() - scale * length)
     b_free = circ.coprime_part(d, b) or None
     _, group, order = cokernel_with_class(p, g, modulus=b_free)
+    det_value = sign * circ._unscaled(det(p), b, n - scale * length)
     if b == 1:  # a unit lead: this side is the whole answer
-        return group, order, p, scale
+        return group, order, det_value
     # This side gives the primes prime to b.
     torsion = [circ.coprime_part(t, b) for t in group.torsion]
     order = order and circ.coprime_part(order, b)
@@ -255,7 +251,7 @@ def _arc_invariants(
         ]
         order = order and other_order and order * other_order
     group = FinAbGroup.from_invariants(torsion, free_rank=group.free_rank)
-    return group, order, p, scale
+    return group, order, det_value
 
 
 def _b_part(x: int, b: int, a0: int) -> int:
@@ -384,25 +380,23 @@ def analyze(
     below), "companion" (L x L shortcut, L <= s_k, cyclic specs with 0
     not in S only), "both" (run both and insist they agree), or "auto"
     (both for n up to ``CROSSCHECK_LIMIT``, companion beyond it, full when
-    the shortcut does not apply).  The companion methods take h from the
-    shortest admissible arc (``_shortest_window``), then K0, the order of
-    [1] and det(I - A^t) = +-b^n det P' / b^{EL} from P' = b^E (T^n - I),
-    and from the reversed arc's P' when a prime of b = lc(h) that h(0)
-    lacks can divide |K0| (``_arc_invariants``), and build no n x n graph
-    or matrix; the Smith diagonal is still stated at size s_k (ones,
-    torsion, zeros).  "companion_reduction" reduces each side modulo its
-    part of |det| by the resultant route (module docstring); "both"
-    reduces exactly, also runs the full reduction and checks K0 and the
-    order of [1] against it.
-    A dihedral spec with a cyclic twin (``_cyclic_twin``) reports
-    "full_snf" under "auto" and "full", but K0 and the order of [1] come
-    from the twin's arc and det from ``circulant.cayley_det`` of the
-    twin; the diagonal is stated at size n = 2m and no graph is built.
-    Past the limit "auto" gives a cyclic spec with 0 in S, W >= 2 and an
-    admissible arc of length 1 <= L <= s_k the same "full_snf" report,
-    with K0 and the order of [1] from its own arc, reduced modulo the parts
-    of |det| as under "companion_reduction", det by Bareiss on P', and the
-    diagonal stated at size n; other 0 in S specs take the full path.
+    the shortcut does not apply).  The companion methods take K0, the
+    order of [1] and det(I - A^t) = +-b^n det P' / b^{EL} from
+    ``_arc_report``: it reads the shortest admissible arc h once
+    (``_shortest_window``) and reduces P' = b^E (T^n - I), and the reversed
+    arc's P' when a prime of b = lc(h) that h(0) lacks can divide |K0|, det
+    by Bareiss on P'.  No n x n graph or matrix is built; the Smith
+    diagonal is stated at size s_k (ones, torsion, zeros).
+    "companion_reduction" reduces each side modulo its part of |det| by the
+    resultant route (module docstring); "both" reduces exactly, also runs
+    the full reduction and checks K0 and the order of [1] against it.
+    Two "full_snf" reports come from an arc too, reduced as under
+    "companion_reduction", with the diagonal stated at size n and no
+    graph: a dihedral spec with a cyclic twin (``_cyclic_twin``), under
+    "auto" and "full", from the twin's arc; and, past the limit under
+    "auto", a cyclic spec with 0 in S and W >= 2, from its own arc when it
+    has an admissible one with 1 <= L <= s_k.  Every other spec takes the
+    full path.
     ``det`` shares no elimination with either Smith reduction, so
     |K0| = |det| stays a witness.
     """
@@ -431,16 +425,14 @@ def analyze(
         n = graph.vertex_count
 
     companion_ok = spec is not None and spec.is_cyclic and 0 not in spec.gens and pis
-    window = twin  # a cyclic spec whose shortest admissible arc gives a full_snf report
+    arc = None
     if method == "auto":
         if companion_ok:
             method = "both" if n <= CROSSCHECK_LIMIT else "companion_reduction"
         else:
             method = "full_snf"
             if n > CROSSCHECK_LIMIT and spec is not None and spec.is_cyclic and pis:
-                # 0 in S: the arc path when an admissible arc has 1 <= L <= s_k
-                arc = circ.weight_arc(spec, admissible=True)[1]
-                window = spec if 1 <= len(arc) - 1 <= max(spec.gens) else None
+                arc = _arc_report(spec, exact=False)  # 0 in S
     elif method == "full":
         method = "full_snf"
     elif method == "companion":
@@ -449,21 +441,15 @@ def analyze(
     elif not companion_ok:
         raise InvalidSpecError("method 'both' needs a cyclic spec with 0 not in S and W >= 2")
 
-    if method != "full_snf" or window:
-        cyclic = window or spec
-        h, window_sign = _shortest_window(cyclic)
-        # The twin's det is cayley_det's; every other det is Bareiss on P',
-        # so a modulus by the resultant route keeps |K0| = |det| a witness.
-        k0_result, order, p, scale = _arc_invariants(
-            h, cyclic.n, exact=method == "both" or twin is not None
-        )
-        # Such an arc's report is the full_snf one of the n x n matrix.
-        diag = _stated_diagonal(k0_result, n if window else max(spec.gens))
-        if twin:
-            det_value = circ.cayley_det(twin)
-        else:
-            det_value = window_sign * _unscaled(det(p), h.coeffs[-1], n - scale * h.degree())
-    if method != "companion_reduction" and not window:
+    if twin:
+        arc = _arc_report(twin, exact=False)
+    elif method != "full_snf":
+        arc = _arc_report(spec, exact=method == "both")
+    if arc:
+        k0_result, order, det_value = arc
+        # A full_snf arc report states the diagonal of the n x n matrix.
+        diag = _stated_diagonal(k0_result, n if method == "full_snf" else max(spec.gens))
+    if method == "both" or arc is None:
         if graph is None:
             graph = build_cayley(spec)
         m = graph.i_minus_at()

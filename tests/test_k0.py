@@ -25,6 +25,7 @@ from k0lab.graphs import (
 )
 from k0lab.k0 import (
     K0Report,
+    _arc_report,
     _char_poly,
     _companion_presentation,
     _shortest_window,
@@ -955,18 +956,22 @@ class TestDihedralTwin:
             assert analyze(spec) == got
         assert len(specs) == 2912
 
-    def test_det_is_the_twins_cayley_det(self, monkeypatch):
-        twins = []
-        cayley_det = k0lab.circulant.cayley_det
+    def test_twin_modulus_is_witnessed(self, monkeypatch):
+        """The twin reduces modulo |Res(h, r)| like every full_snf arc report,
+        with det by Bareiss on its P' and never from ``cayley_det``; K0 = Z_3
+        on D_40, so half the true resultant breaks |K0| = |det|."""
+        spec = CayleySpec.dihedral(40)
 
-        def recording(spec):
-            twins.append((spec.n, spec.gens, spec.weights))
-            return cayley_det(spec)
+        def forbidden(*args):
+            raise AssertionError("cayley_det on the twin path")
 
-        monkeypatch.setattr(k0lab.circulant, "cayley_det", recording)
-        report = analyze(CayleySpec(DihedralGroup(10), (13, 3), (1, 1)))
-        assert twins == [(10, (1, 9), (1, 1))]
+        monkeypatch.setattr(k0lab.circulant, "cayley_det", forbidden)
+        report = analyze(spec)
         assert (report.det_value, report.k0) == (-3, FinAbGroup((3,)))
+        real = k0lab.circulant._resultant
+        monkeypatch.setattr(k0lab.circulant, "_resultant", lambda a, b: real(a, b) // 2)
+        with pytest.raises(InternalCheckError, match=r"\|K0\| = 1 but \|det\| = 3$"):
+            analyze(spec)
 
     def test_dihedral_family_matches_the_theorem_table(self):
         for m in range(1, 301):
@@ -1028,3 +1033,44 @@ class TestDihedralTwin:
         monkeypatch.setattr(k0lab.k0, "cokernel_with_class", doubled_order)
         with pytest.raises(InternalCheckError, match="does not divide W - 1 = 1"):
             analyze(CayleySpec.dihedral(40))
+
+
+class TestArcReport:
+    """``_arc_report`` reads a spec's shortest admissible arc once, for every
+    report kind, and gives None when it has none with 1 <= L <= s_k."""
+
+    @pytest.mark.parametrize(
+        "spec, arc_spec",
+        [
+            # 0 in S past the limit: a full_snf report from the spec's own arc
+            (CayleySpec.cyclic(40, [0, 1], [3, 3]), CayleySpec.cyclic(40, [0, 1], [3, 3])),
+            # the dihedral twin C_40({1, 39})
+            (CayleySpec.dihedral(40), CayleySpec.cyclic(40, [1, 39])),
+            # companion_reduction
+            (CayleySpec.cyclic(40, [1, 5], [3, 3]), CayleySpec.cyclic(40, [1, 5], [3, 3])),
+        ],
+    )
+    def test_one_arc_read_per_analyze(self, monkeypatch, spec, arc_spec):
+        read = []
+        weight_arc = k0lab.circulant.weight_arc
+
+        def recording(spec, *args, **kwargs):
+            read.append(spec)
+            return weight_arc(spec, *args, **kwargs)
+
+        monkeypatch.setattr(k0lab.circulant, "weight_arc", recording)
+        analyze(spec)
+        assert read == [arc_spec]
+
+    @pytest.mark.parametrize(
+        "n, gens, weights, h",
+        [
+            (40, (0, 1), (3, 2), ()),  # f = -2 - 2x: content 2, no admissible arc
+            (123, (0, 1), (1, 1), (1,)),  # f = -x: L = 0
+        ],
+    )
+    def test_no_usable_arc(self, n, gens, weights, h):
+        spec = CayleySpec.cyclic(n, gens, weights)
+        assert _shortest_window(spec)[0] == IntPolynomial(h)
+        for exact in (False, True):
+            assert _arc_report(spec, exact) is None
