@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and its one rule for integer input."""
+"""Exception types shared across the library, and its rules for integer input."""
 
 
 def all_ints(values) -> bool:
@@ -12,6 +12,18 @@ def all_ints(values) -> bool:
         return type(sum(values)) is int
     except TypeError:
         return False
+
+
+def require_plain(line: str) -> None:
+    """Raise ValueError unless a line of an input file keeps to ASCII and holds no ``_``.
+
+    ``int`` also reads ``_`` digit separators and non-ASCII digits, which
+    the file formats do not allow.  This is one test per line, at C speed,
+    before any entry reaches ``int``; the parsers turn the ValueError into
+    their own error with the line number.
+    """
+    if not line.isascii() or "_" in line:
+        raise ValueError("a line of an input file must be ASCII with no '_'")
 
 
 class InvalidSpecError(ValueError):

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import compress, repeat
 from typing import Mapping, Sequence
 
-from .errors import GroupTableError, InvalidSpecError, all_ints
+from .errors import GroupTableError, InvalidSpecError, all_ints, require_plain
 from .zmatrix import SparseIntMatrix, int_text
 
 
@@ -258,6 +258,7 @@ def read_group_table(text: str) -> FiniteGroupTable:
     if not lines or not lines[0].strip():
         raise GroupTableError("missing order line", 1)
     try:
+        require_plain(lines[0])
         order = int(lines[0].strip())
     except ValueError:
         raise GroupTableError("order must be an integer", 1) from None
@@ -275,6 +276,7 @@ def read_group_table(text: str) -> FiniteGroupTable:
         if len(parts) != order:
             raise GroupTableError(f"expected {order} entries, found {len(parts)}", lineno)
         try:
+            require_plain(raw)
             row = tuple(int(p) for p in parts)
         except ValueError:
             raise GroupTableError("entries must be integers", lineno) from None

@@ -4,9 +4,10 @@ Matrices come dense (``IntMatrix``) or as sparse rows (``SparseIntMatrix``,
 the form graphs give I - A^t in); the determinant and the Smith core take
 either.  Everything here works with arbitrary-precision Python ints: Smith
 diagonals (sparse ±1 pivots in Markowitz order, a column-local Euclid with
-nearest-integer quotients that diagonalizes the dense remainder, or unit
-pivots and Bezout steps over Z/D given a multiple D of the largest
-invariant factor, then a gcd/lcm pass that chains the diagonal),
+nearest-integer quotients that diagonalizes the dense remainder, taking
+one 2 x 2 Bezout step on the two least entries of a column per pass after
+its first, or unit pivots and Bezout steps over Z/D given a multiple D of
+the largest invariant factor, then a gcd/lcm pass that chains the diagonal),
 determinants (sparse ±1 pivots in Markowitz order, then fraction-free
 Bareiss elimination on the dense remainder), and cokernels presented as
 finitely generated abelian groups in invariant-factor form.  The two
@@ -28,7 +29,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import all_ints
+from .errors import all_ints, require_plain
 
 
 class MatrixFormatError(ValueError):
@@ -213,31 +214,43 @@ def _diagonalize(a: list[list[int]], cols: int) -> None:
     column move is Euclid down column t: the least |x| from row t down
     becomes the pivot p (a ±1 ends the search), and every other row gives
     up the nearest-integer multiple of the pivot row, so each remainder has
-    |r| <= |p|/2; this repeats until column t is zero below p.  No search
-    looks past column t.  Then row t is the only row with a nonzero in
-    column t, so a column operation changes row t alone: the row move
-    reduces each a[t][j] to its nearest remainder mod p in place, with no
-    loop over rows.  If a remainder is left, the column holding the least
-    one swaps into t, and the column move starts again on a smaller pivot.
-    Rows above t hold zeros in every column >= t, so column swaps skip them.
-    A column that is zero from row t down is swapped out for one that is
-    not.  On return the diagonal entries may be negative and need not
-    divide each other; zeros trail.
+    |r| <= |p|/2; this repeats until column t is zero below p.  From the
+    second pass of step t on, when three or more rows are live, the least
+    entry is not ±1 and it does not divide the second least (the upper row
+    on a tie), one 2 x 2 Bezout step (``_bezout``) first turns those two
+    rows, tails and passengers included, into their gcd, the pivot, over 0.
+    Only after a pass: a Bezout step on raw dense entries carries
+    multipliers as large as the entries (Kannan & Bachem, SIAM J. Comput.
+    8, 1979), while one pass over many rows keeps them small (Havas,
+    Majewski & Matthews, Exp. Math. 7, 1998).  Two live rows are still pure
+    Euclid.  No search looks past column t.  Then row t is the only row
+    with a nonzero in column t, so a column operation changes row t alone:
+    the row move reduces each a[t][j] to its nearest remainder mod p in
+    place, with no loop over rows.  If a remainder is left, the column
+    holding the least one swaps into t, and the column move starts again on
+    a smaller pivot.  Rows above t hold zeros in every column >= t, so
+    column swaps skip them.  A column that is zero from row t down is
+    swapped out for one that is not.  On return the diagonal entries may be
+    negative and need not divide each other; zeros trail.
     """
     rows = len(a)
     for t in range(min(rows, cols)):
+        later = False
         while True:
             # Column move: the least |x| in column t, from row t down, is the pivot.
-            pi, least = t, 0
+            pi, least, pk, second, live = t, 0, t, 0, 0
             for i in range(t, rows):
                 x = a[i][t]
                 if x:
+                    live += 1
                     if x < 0:
                         x = -x
                     if not least or x < least:
-                        pi, least = i, x
+                        pk, second, pi, least = pi, least, i, x
                         if x == 1:
                             break
+                    elif not second or x < second:
+                        pk, second = i, x
             if not least:
                 j = next((j for j in range(t + 1, cols) if any(row[j] for row in a[t:])), None)
                 if j is None:
@@ -245,6 +258,13 @@ def _diagonalize(a: list[list[int]], cols: int) -> None:
                 for row in a[t:]:
                     row[t], row[j] = row[j], row[t]
                 continue
+            if later and live > 2 and least != 1 and second % least:
+                ap, ak = a[pi], a[pk]
+                s, c, u, v = _bezout(ap[t], ak[t])
+                pairs = list(zip(ap[t:], ak[t:]))
+                ap[t:] = [s * y + c * z for y, z in pairs]
+                ak[t:] = [u * z - v * y for y, z in pairs]
+            later = True
             if pi != t:
                 a[t], a[pi] = a[pi], a[t]
             at = a[t]
@@ -756,6 +776,7 @@ def read_matrix(text: str) -> IntMatrix:
     if len(header) != 2:
         raise MatrixFormatError("header must be 'rows cols'", 1)
     try:
+        require_plain(lines[0])
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
         raise MatrixFormatError("header must hold two integers", 1) from None
@@ -773,6 +794,7 @@ def read_matrix(text: str) -> IntMatrix:
         if len(parts) != cols:
             raise MatrixFormatError(f"expected {cols} entries, found {len(parts)}", lineno)
         try:
+            require_plain(raw)
             try:
                 row = [int(p) for p in parts]
             except ValueError:  # plain decimals past the digit limit go through Decimal

@@ -118,6 +118,14 @@ class TestCayleyCommand:
         assert code == 65
         assert "line" in err
 
+    def test_group_table_underscore_exit_65(self, capsys, tmp_path):
+        table_file = tmp_path / "c2.grp"
+        table_file.write_text("2\n0 1\n1 0_0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "cayley", "--n", "2", "--group-table",
+                                 str(table_file), "--gens", "1")
+        assert (code, out) == (65, "")
+        assert "line 3: entries must be integers" in err
+
 
 class TestDihedralCommand:
     def test_n8(self, capsys):
@@ -176,6 +184,18 @@ class TestSnfCommand:
         assert code == 65
         assert out == ""
         assert "line 4" in err
+
+    def test_underscore_and_non_ascii_digits_exit_65(self, capsys, tmp_path):
+        f = tmp_path / "m.txt"
+        for text in ("2 2\n+1 0\n0 1_0\n", "2 2\n+1 0\n0 \u0661\n"):
+            f.write_text(text, encoding="utf-8")
+            code, out, err = run_cli(capsys, "snf", "--in", str(f))
+            assert (code, out) == (65, "")
+            assert "line 3: entries must be integers" in err
+        f.write_text("2 2\n+1 0\n0 +10\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "snf", "--in", str(f))
+        assert code == 0
+        assert "coker: Z_10" in out
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "snf", "--in", str(tmp_path / "nope.txt"))

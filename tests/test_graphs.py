@@ -128,6 +128,16 @@ class TestGroups:
         with pytest.raises(InvalidSpecError):
             read_group_table("2\n0 1\n1 1\n")
 
+    def test_table_file_refuses_what_int_reads_past_the_format(self):
+        """int() reads '_' separators and non-ASCII digits; the format has neither."""
+        assert read_group_table("+2\n+0 1\n1 +0\n").order == 2
+        for order in ("2_0", "\u0662", "\uff12"):
+            with pytest.raises(GroupTableError, match="^line 1: order must be an integer$"):
+                read_group_table(f"{order}\n0 1\n1 0\n")
+        for token in ("0_0", "\u0660", "0\u00a0"):
+            with pytest.raises(GroupTableError, match="^line 3: entries must be integers$"):
+                read_group_table(f"2\n0 1\n1 {token}\n")
+
     def test_table_file_rejects_extra_rows(self):
         assert read_group_table("2\n0 1\n1 0\n\n  \n").order == 2
         for extra in ("0 1", "x"):

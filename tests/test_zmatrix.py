@@ -6,7 +6,7 @@ from itertools import combinations, permutations, product
 from math import floor, gcd, lcm, prod
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 import k0lab.zmatrix
@@ -22,6 +22,7 @@ from k0lab.zmatrix import (
     IntMatrix,
     MatrixFormatError,
     _bareiss,
+    _bezout,
     _diagonalize,
     _invariant_factors,
     _supports,
@@ -682,6 +683,95 @@ class TestDiagonalize:
         return rows
 
     @staticmethod
+    def _column_gcd(column: list[int]) -> list[list[int]]:
+        """column, each entry with an identity passenger row, reduced as the
+        column move documents, in exact rationals.  Every pass puts the least
+        nonzero |entry| on top (the upper one on a tie) and takes the
+        nearest quotient of it from every other row.  From the second pass
+        on, with three or more nonzero entries, a least entry not ±1 and
+        not dividing the next least (the upper one on a tie), those two rows
+        first become (g, 0) by ((s, c), (-v, u)): g = gcd, x = g u, y = g v
+        and s the inverse of u mod v, found by search."""
+        n = len(column)
+        rows = [[x] + [int(i == j) for j in range(n)] for i, x in enumerate(column)]
+        later = False
+        while True:
+            live = [i for i in range(n) if rows[i][0]]
+            if not live:
+                return rows
+            pi = min(live, key=lambda i: abs(rows[i][0]))
+            rest = [i for i in live if i != pi]
+            if later and len(rest) >= 2 and abs(rows[pi][0]) != 1:
+                pk = min(rest, key=lambda i: abs(rows[i][0]))
+                x, y = rows[pi][0], rows[pk][0]
+                if Fraction(y, x).denominator != 1:
+                    g = gcd(x, y)
+                    u, v = x // g, y // g
+                    s = next(s for s in range(0, v, 1 if v > 0 else -1) if (s * u - 1) % v == 0)
+                    c = Fraction(1 - s * u, v)
+                    assert c.denominator == 1
+                    top, low = rows[pi], rows[pk]
+                    rows[pi] = [s * a + int(c) * b for a, b in zip(top, low)]
+                    rows[pk] = [u * b - v * a for a, b in zip(top, low)]
+            later = True
+            rows[0], rows[pi] = rows[pi], rows[0]
+            top = rows[0]
+            for i in range(1, n):
+                q = _nearest(rows[i][0], top[0])
+                rows[i] = [y - q * z for y, z in zip(rows[i], top)]
+            if not any(row[0] for row in rows[1:]):
+                return rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-60, 60), min_size=3, max_size=5))
+    @example([6, 10, 15])  # 6, -2, -3 after the first pass; then gcd(-2, -3) = 1
+    @example([-10, 4, 6])
+    @example([0, 12, -18, 30])
+    def test_column_move_takes_one_bezout_step(self, column):
+        rows = [[x] + [int(i == j) for j in range(len(column))] for i, x in enumerate(column)]
+        _diagonalize(rows, 1)
+        assert rows == self._column_gcd(column)
+
+    def test_bezout_step_pinned(self):
+        """The first pass leaves 6, -2, -3; _bezout(-2, -3) = (-2, 1, -2, -3)
+        turns the last two rows into 1 over 0, and one pass clears the rest."""
+        rows = [[6, 1, 0, 0], [10, 0, 1, 0], [15, 0, 0, 1]]
+        _diagonalize(rows, 1)
+        assert rows == [[1, 1, -2, 1], [0, -5, 12, -6], [0, 0, 3, -2]]
+
+    def test_oracle_cases_reach_the_bezout_step(self, monkeypatch):
+        calls = []
+
+        def spy(x, y):
+            calls.append((x, y))
+            return _bezout(x, y)
+
+        def reaches(case):
+            calls.clear()
+            self._check(*case)
+            return bool(calls)
+
+        monkeypatch.setattr(k0lab.zmatrix, "_bezout", spy)
+        self.test_corpus_against_oracle()
+        assert calls
+        once = settings(max_examples=300, deadline=None, phases=[Phase.generate])
+        find(_dense_with_class(), reaches, settings=once)  # raises if no case reaches it
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_dense_growth_at_size(self, n):
+        """Dense [-4, 4] input, where Bezout steps could grow entries: the
+        chained diagonal multiplies to |det| (Bareiss, no shared code), and
+        the transpose gives the same diagonal."""
+        rng = random.Random(27000 + n)
+        m = random_matrix(rng, n, n)
+        diags = []
+        for rows in (m.to_lists(), transpose(m).to_lists()):
+            _diagonalize(rows, n)
+            diags.append(_invariant_factors([rows[i][i] for i in range(n)]))
+        assert diags[0] == diags[1]
+        assert prod(diags[0]) == abs(_bareiss(m.to_lists())) != 0
+
+    @staticmethod
     def _row_euclid(p: int, x: int) -> list[int]:
         """[p, x] reduced as the row move documents: x to its nearest
         remainder mod p, and a remainder left swaps in as the pivot."""
@@ -725,6 +815,25 @@ class TestDiagonalize:
         diag, group, order = cokernel_with_class(p, g)
         assert prod(diag) == group.order() == abs(cayley_det(spec))
         assert order == 1
+
+
+class TestBezout:
+    """_bezout, the 2 x 2 unimodular step of both kernels."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
+    @example(0, 7)
+    @example(0, -7)
+    @example(-12, 4)
+    @example(12, -3)
+    @example(5, 1)
+    @example(-5, -1)
+    def test_coefficients(self, x, y):
+        s, c, u, v = _bezout(x, y)
+        g = gcd(x, y)
+        assert s * x + c * y == g
+        assert (x, y) == (g * u, g * v)
+        assert s * u + c * v == 1
 
 
 @st.composite
@@ -1091,6 +1200,18 @@ class TestMatrixFile:
     def test_missing_rows(self):
         with pytest.raises(MatrixFormatError):
             read_matrix("3 2\n1 2\n")
+
+    def test_refuses_what_int_reads_past_the_format(self):
+        """int() reads '_' separators and non-ASCII digits; the format has neither."""
+        for token in ("1_0", "\u0661", "\uff11", "1\u00a0"):
+            with pytest.raises(MatrixFormatError, match="^line 3: entries must be integers$"):
+                read_matrix(f"2 2\n+1 0\n0 {token}\n")
+        for header in ("2_0 2", "2 \u0662", "\u00a02 2"):
+            with pytest.raises(MatrixFormatError, match="^line 1: header must hold two integers$"):
+                read_matrix(f"{header}\n1 0\n0 1\n")
+
+    def test_plus_sign_and_leading_zeros(self):
+        assert read_matrix("+2 2\n+1 -0\n0 010\n") == IntMatrix.from_rows([[1, 0], [0, 10]])
 
     def test_rejects_extra_rows(self):
         assert read_matrix("2 2\n1 0\n0 1\n\n") == identity_matrix(2)
