@@ -724,20 +724,13 @@ class TestDiagonalize:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-60, 60), min_size=3, max_size=5))
-    @example([6, 10, 15])  # 6, -2, -3 after the first pass; then gcd(-2, -3) = 1
+    @example([6, 10, 15])  # 6, -2, -3 after the first pass; then (-2, -3) -> (1, 0)
     @example([-10, 4, 6])
     @example([0, 12, -18, 30])
     def test_column_move_takes_one_bezout_step(self, column):
         rows = [[x] + [int(i == j) for j in range(len(column))] for i, x in enumerate(column)]
         _diagonalize(rows, 1)
         assert rows == self._column_gcd(column)
-
-    def test_bezout_step_pinned(self):
-        """The first pass leaves 6, -2, -3; _bezout(-2, -3) = (-2, 1, -2, -3)
-        turns the last two rows into 1 over 0, and one pass clears the rest."""
-        rows = [[6, 1, 0, 0], [10, 0, 1, 0], [15, 0, 0, 1]]
-        _diagonalize(rows, 1)
-        assert rows == [[1, 1, -2, 1], [0, -5, 12, -6], [0, 0, 3, -2]]
 
     def test_oracle_cases_reach_the_bezout_step(self, monkeypatch):
         calls = []
